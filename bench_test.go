@@ -29,7 +29,6 @@ import (
 	"pathflow/internal/cfg"
 	"pathflow/internal/classify"
 	"pathflow/internal/constprop"
-	"pathflow/internal/core"
 	"pathflow/internal/dataflow/kernel"
 	"pathflow/internal/engine"
 	"pathflow/internal/fabric"
@@ -405,7 +404,7 @@ func BenchmarkPipeline(b *testing.B) {
 				b.Fatal(err)
 			}
 			for i := 0; i < b.N; i++ {
-				_, _, err := core.ProfileAndAnalyze(prog, bm.TrainOptions(), core.Options{CA: 0.97, CR: 0.95})
+				_, _, err := engine.Serial().ProfileAndAnalyze(benchCtx, prog, bm.TrainOptions(), engine.Options{CA: 0.97, CR: 0.95})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -422,7 +421,7 @@ func BenchmarkAnalysisOnly(b *testing.B) {
 		in := in
 		b.Run(in.B.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, err := core.AnalyzeProgram(in.Prog, in.Train, core.Options{CA: 0.97, CR: 0.95})
+				_, err := engine.Serial().AnalyzeProgram(benchCtx, in.Prog, in.Train, engine.Options{CA: 0.97, CR: 0.95})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -9,16 +9,21 @@
 #                           Unknown*Error hints must enumerate the full
 #                           current option sets (kernels, clients,
 #                           benchmarks)
-#   5. go test ./...        the full test suite (incl. the golden gate
-#                           internal/bench/testdata/metrics.golden.json)
+#   5. go test ./...        the full test suite (incl. the golden gates
+#                           internal/bench/testdata/metrics.golden.json
+#                           and the /metrics exposition golden in
+#                           internal/serve/testdata) — then go vet + go
+#                           test in the benchmark module (perfbench/),
+#                           so an API change that breaks the benchmark's
+#                           build fails here rather than in a benchmark run
 #   6. go test -race        the concurrency-bearing packages under the
 #                           race detector (engine scheduler + two-tier
 #                           cache — including the incremental
 #                           differential test in internal/engine, so
 #                           cold-vs-warm byte-identity holds under
 #                           -race — the persistent diskcache store,
-#                           the core compat shim, the bench harness
-#                           memo, the serving layer's job manager +
+#                           the bench harness memo, the metrics
+#                           registry (obs), the serving layer's job manager +
 #                           streams, the distributed fabric's queue +
 #                           coordinator + worker loop, the streaming
 #                           accumulator sets and the watch runner —
@@ -133,9 +138,10 @@ go test -count=1 ./internal/lint/
 
 echo "== test"
 go test ./...
+(cd perfbench && go vet . && go test -count=1 .)
 
 echo "== race"
-go test -race ./internal/engine/ ./internal/engine/diskcache/ ./internal/core/ ./internal/bench/ ./internal/serve/ \
+go test -race ./internal/engine/ ./internal/engine/diskcache/ ./internal/bench/ ./internal/obs/ ./internal/serve/ \
     ./internal/fabric/ ./internal/profile/stream/ ./internal/watch/ \
     ./internal/liveness/ ./internal/availexpr/ ./internal/dataflow/oracle/ \
     ./internal/dataflow/ ./internal/dataflow/kernel/ ./internal/constprop/ ./internal/intervals/ \
@@ -421,6 +427,7 @@ mv "$tmpdir/watch_edit.pf" "$tmpdir/watch.pf"
 wait "$watch_pid" || {
     echo "watch smoke: watch exited nonzero" >&2
     cat "$tmpdir/watch.txt" >&2; exit 1; }
+watch_pid=""
 grep -Eq '^1 +main +body ' "$tmpdir/watch.txt" || {
     echo "watch smoke: edit round did not classify main as a body delta" >&2
     cat "$tmpdir/watch.txt" >&2; exit 1; }

@@ -152,7 +152,7 @@ func TestStorePutGetRoundTrip(t *testing.T) {
 	if st.Bytes != int64(len(payload)) {
 		t.Errorf("bytes = %d, want %d", st.Bytes, len(payload))
 	}
-	if st.DecodeCount != 1 || st.DecodeSum <= 0 {
+	if st.Decode.Count != 1 || st.Decode.Sum <= 0 {
 		t.Errorf("decode histogram not recorded: %+v", st)
 	}
 }

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"pathflow/internal/obs"
 )
 
 // Key identifies one bundle in the store: the artifact kind plus the
@@ -69,15 +71,6 @@ type Remote interface {
 	Push(name string, data []byte)
 }
 
-// DecodeBucketBounds are the decode-time histogram upper bounds in
-// seconds: decades from a microsecond to ten seconds, matching the
-// serving layer's stage histograms so the two are comparable on one
-// dashboard.
-var DecodeBucketBounds = []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10}
-
-// numDecodeBuckets keeps the Stats array in sync with DecodeBucketBounds.
-const numDecodeBuckets = 8
-
 // Stats is a snapshot of the store's counters.
 type Stats struct {
 	// Hits counts lookups whose payload decoded into a usable artifact.
@@ -95,11 +88,8 @@ type Stats struct {
 	// Entries and Bytes describe current residency.
 	Entries int
 	Bytes   int64
-	// Decode-time histogram over disk hits (seconds, cumulative counts
-	// per DecodeBucketBounds entry).
-	DecodeCount   int64
-	DecodeSum     float64
-	DecodeBuckets [numDecodeBuckets]int64
+	// Decode is the decode-time histogram over disk hits, in seconds.
+	Decode obs.HistogramValue
 	// RemoteFetches counts bundles adopted from the remote tier on local
 	// misses; RemotePushes counts locally written bundles offered to it.
 	RemoteFetches int64
@@ -130,9 +120,7 @@ type Store struct {
 
 	hits, misses, rejects, writes, evictions int64
 	remoteFetches, remotePushes              int64
-	decCount                                 int64
-	decSum                                   float64
-	decBuckets                               [numDecodeBuckets]int64
+	decode                                   obs.HistogramValue
 
 	remote  Remote        // set once before concurrent use; nil = local only
 	pushSem chan struct{} // bounds in-flight async remote pushes
@@ -310,16 +298,9 @@ func (s *Store) adoptEntry(name string, size int64) {
 
 // Hit records a successful decode of a Get payload and its decode time.
 func (s *Store) Hit(decode time.Duration) {
-	sec := decode.Seconds()
 	s.mu.Lock()
 	s.hits++
-	s.decCount++
-	s.decSum += sec
-	for i, ub := range DecodeBucketBounds {
-		if sec <= ub {
-			s.decBuckets[i]++
-		}
-	}
+	s.decode.Observe(decode.Seconds())
 	s.mu.Unlock()
 }
 
@@ -482,9 +463,7 @@ func (s *Store) Stats() Stats {
 		Evictions:     s.evictions,
 		Entries:       len(s.entries),
 		Bytes:         s.bytes,
-		DecodeCount:   s.decCount,
-		DecodeSum:     s.decSum,
-		DecodeBuckets: s.decBuckets,
+		Decode:        s.decode,
 		RemoteFetches: s.remoteFetches,
 		RemotePushes:  s.remotePushes,
 	}

@@ -24,7 +24,8 @@
 // (Delta) and predicts the replay/recompute split ahead of time;
 // `pathflow analyze -baseline` reports it.
 //
-// The legacy one-call API lives on as thin wrappers in internal/core.
+// Callers that need neither parallelism nor caching use Serial(): one
+// worker, no artifact cache.
 package engine
 
 import (

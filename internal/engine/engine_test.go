@@ -264,9 +264,8 @@ func TestCacheSharesBaselineAcrossPoints(t *testing.T) {
 	}
 }
 
-// TestEngineMatchesCoreCompat: the one-call wrappers in internal/core and
-// the engine must agree (the engine *is* the implementation, but this
-// pins the aliasing against accidental divergence).
+// TestAnalyzeFuncMatchesPaperExample: the serial, uncached engine and a
+// parallel, cached one must agree on the paper's running example.
 func TestAnalyzeFuncMatchesPaperExample(t *testing.T) {
 	f, _, edges := paperex.Build()
 	pr := paperex.Profile(edges)

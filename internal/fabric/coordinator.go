@@ -47,9 +47,10 @@ type Coordinator struct {
 // (usually the serving engine's own disk store; nil disables bundle
 // exchange — workers then need a shared -cachedir).
 func NewCoordinator(cfg Config, store *diskcache.Store) *Coordinator {
-	m := NewMetrics()
-	return &Coordinator{cfg: cfg, q: newQueue(cfg, m), store: store, metrics: m,
-		profiles: map[string][]byte{}}
+	c := &Coordinator{cfg: cfg, store: store, profiles: map[string][]byte{}}
+	c.metrics = NewMetrics(c.Depth)
+	c.q = newQueue(cfg, c.metrics)
+	return c
 }
 
 // Mount registers the fabric's HTTP surface on mux:
@@ -83,8 +84,7 @@ func (c *Coordinator) Depth() (pending, leased int) { return c.q.depth() }
 // WriteMetrics renders the fabric metric families in Prometheus text
 // format.
 func (c *Coordinator) WriteMetrics(w io.Writer) {
-	pending, leased := c.q.depth()
-	c.metrics.WriteTo(w, pending, leased)
+	c.metrics.WriteTo(w) //nolint:errcheck // client gone is not actionable
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
@@ -137,11 +137,12 @@ func (c *Coordinator) handleBundleGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	data, ok := c.store.ReadBundle(r.PathValue("name"))
-	c.metrics.bundleGet(ok)
 	if !ok {
+		c.metrics.bundleMissing.Inc()
 		http.Error(w, "no such bundle", http.StatusNotFound)
 		return
 	}
+	c.metrics.bundleServed.Inc()
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Write(data) //nolint:errcheck // client gone is the client's problem
 }
@@ -157,11 +158,11 @@ func (c *Coordinator) handleBundlePut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := c.store.AdoptBundle(r.PathValue("name"), data); err != nil {
-		c.metrics.bundlePut(false)
+		c.metrics.bundleRejected.Inc()
 		http.Error(w, "rejected: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	c.metrics.bundlePut(true)
+	c.metrics.bundleAdopted.Inc()
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -183,7 +184,7 @@ func (c *Coordinator) SeedProfile(key string, data []byte) {
 	c.profMu.Lock()
 	if _, exists := c.profiles[key]; !exists && len(c.profiles) < maxProfiles {
 		c.profiles[key] = data
-		c.metrics.profilePut()
+		c.metrics.profileAdopted.Inc()
 	}
 	c.profMu.Unlock()
 }
@@ -193,11 +194,12 @@ func (c *Coordinator) handleProfileGet(w http.ResponseWriter, r *http.Request) {
 	c.profMu.Lock()
 	data, ok := c.profiles[key]
 	c.profMu.Unlock()
-	c.metrics.profileGet(ok)
 	if !ok {
+		c.metrics.profileMissing.Inc()
 		http.Error(w, "no such profile", http.StatusNotFound)
 		return
 	}
+	c.metrics.profileServed.Inc()
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(data) //nolint:errcheck // client gone is the client's problem
 }
@@ -218,7 +220,7 @@ func (c *Coordinator) handleProfilePut(w http.ResponseWriter, r *http.Request) {
 	// agree); past the cap new keys are dropped, not stored.
 	if _, exists := c.profiles[key]; !exists && len(c.profiles) < maxProfiles {
 		c.profiles[key] = data
-		c.metrics.profilePut()
+		c.metrics.profileAdopted.Inc()
 	}
 	c.profMu.Unlock()
 	w.WriteHeader(http.StatusNoContent)

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -17,7 +19,7 @@ import (
 	"pathflow/internal/engine/diskcache"
 )
 
-func newTestQueue(cfg Config) *queue { return newQueue(cfg, NewMetrics()) }
+func newTestQueue(cfg Config) *queue { return newQueue(cfg, NewMetrics(nil)) }
 
 func spec(s string) TaskSpec { return TaskSpec{Spec: json.RawMessage(s)} }
 
@@ -144,8 +146,8 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 	if len(events) != 1 || !events[0].Requeued || events[0].Worker != "w1" {
 		t.Fatalf("events = %+v, want one requeue blaming w1", events)
 	}
-	if q.metrics.expiries != 1 {
-		t.Fatalf("expiries = %d, want 1", q.metrics.expiries)
+	if n := q.metrics.expiries.Value(); n != 1 {
+		t.Fatalf("expiries = %d, want 1", n)
 	}
 }
 
@@ -198,8 +200,8 @@ func TestCompleteIdempotentDuplicateAndDropped(t *testing.T) {
 	if st := q.complete(&CompleteRequest{Worker: "w2", TaskID: tk.id, Result: json.RawMessage(`{"v":2}`)}, now); st != CompleteDuplicate {
 		t.Fatalf("mismatched complete = %q", st)
 	}
-	if q.metrics.duplicates != 1 || q.metrics.mismatches != 1 {
-		t.Fatalf("duplicates=%d mismatches=%d, want 1 and 1", q.metrics.duplicates, q.metrics.mismatches)
+	if d, mm := q.metrics.duplicates.Value(), q.metrics.mismatches.Value(); d != 1 || mm != 1 {
+		t.Fatalf("duplicates=%d mismatches=%d, want 1 and 1", d, mm)
 	}
 	if st := q.complete(&CompleteRequest{Worker: "w1", TaskID: "t-999"}, now); st != CompleteDropped {
 		t.Fatalf("unknown-task complete = %q", st)
@@ -393,9 +395,7 @@ func TestWorkerDeathRecoversViaLeaseExpiry(t *testing.T) {
 	if string(res[0]) != `{"n2":10}` {
 		t.Fatalf("result = %s", res[0])
 	}
-	c.metrics.mu.Lock()
-	expiries := c.metrics.expiries
-	c.metrics.mu.Unlock()
+	expiries := c.metrics.expiries.Value()
 	if expiries < 1 {
 		t.Fatalf("expiries = %d, want at least 1", expiries)
 	}
@@ -513,16 +513,16 @@ func TestBundleEndpointsRejectBadInput(t *testing.T) {
 // --- Metrics ----------------------------------------------------------------
 
 func TestMetricsRender(t *testing.T) {
-	m := NewMetrics()
-	m.addSubmitted(3)
+	m := NewMetrics(func() (int, int) { return 2, 1 })
+	m.submitted.Add(3)
 	m.taskDone("w1", 5*time.Millisecond)
-	m.requeued()
-	m.leaseExpired()
-	m.bundleGet(true)
-	m.bundlePut(false)
+	m.requeued.Inc()
+	m.expiries.Inc()
+	m.bundleServed.Inc()
+	m.bundleRejected.Inc()
 
 	var buf bytes.Buffer
-	m.WriteTo(&buf, 2, 1)
+	m.WriteTo(&buf)
 	out := buf.String()
 	for _, want := range []string{
 		`pathflow_fabric_tasks_total{state="submitted"} 3`,
@@ -539,6 +539,33 @@ func TestMetricsRender(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics output missing %q\n%s", want, out)
 		}
+	}
+}
+
+// TestMetricsExposition pins the fabric's full exposition byte for byte,
+// including a worker that leased but never completed a task.
+func TestMetricsExposition(t *testing.T) {
+	m := NewMetrics(func() (int, int) { return 2, 1 })
+	m.submitted.Add(3)
+	m.workers.With("w2")
+	m.taskDone("w1", 5*time.Millisecond)
+	m.taskDone("w1", 2*time.Second)
+	m.requeued.Inc()
+	m.expiries.Inc()
+	m.bundleServed.Inc()
+	m.bundleRejected.Inc()
+	m.profileMissing.Inc()
+	m.profileAdopted.Inc()
+	m.duplicates.Inc()
+
+	var buf bytes.Buffer
+	m.WriteTo(&buf)
+	want, err := os.ReadFile(filepath.Join("testdata", "metrics.golden.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != string(want) {
+		t.Errorf("fabric exposition drifted:\n%s", buf.String())
 	}
 }
 

@@ -1,209 +1,73 @@
 package fabric
 
 import (
-	"fmt"
 	"io"
-	"sort"
-	"sync"
 	"time"
+
+	"pathflow/internal/obs"
 )
 
-// taskBucketBounds are the per-worker task-duration histogram bounds in
-// seconds — the same decades as the serve layer's stage histograms and
-// the diskcache decode histogram, so all three read on one dashboard.
-var taskBucketBounds = []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10}
-
-const numTaskBuckets = 8
-
-// workerStats is one worker's completed-task histogram.
-type workerStats struct {
-	tasks   int64
-	sum     float64 // seconds
-	buckets [numTaskBuckets]int64
-}
-
-// Metrics collects the fabric's counters. All methods are safe for
+// Metrics collects the fabric's counters. All fields are safe for
 // concurrent use; rendering is deterministic (workers sorted by name).
 type Metrics struct {
-	mu sync.Mutex
+	reg obs.Registry
 
-	submitted  int64 // tasks ever submitted
-	done       int64 // tasks completed successfully
-	requeuedN  int64 // failed attempts re-enqueued (incl. expiries)
-	failed     int64 // tasks permanently failed (batch aborted)
-	duplicates int64 // idempotent duplicate completions deduplicated
-	mismatches int64 // duplicate completions whose result fingerprint differed
-	expiries   int64 // leases reaped
+	submitted  *obs.Counter // tasks ever submitted
+	done       *obs.Counter // tasks completed successfully
+	requeued   *obs.Counter // failed attempts re-enqueued (incl. expiries)
+	failed     *obs.Counter // tasks permanently failed (batch aborted)
+	duplicates *obs.Counter // idempotent duplicate completions deduplicated
+	mismatches *obs.Counter // duplicate completions whose result fingerprint differed
+	expiries   *obs.Counter // leases reaped
 
-	bundleServed   int64 // GET bundle hits
-	bundleMissing  int64 // GET bundle 404s
-	bundleAdopted  int64 // PUT bundles accepted
-	bundleRejected int64 // PUT bundles rejected as corrupt
+	bundleServed   *obs.Counter // GET bundle hits
+	bundleMissing  *obs.Counter // GET bundle 404s
+	bundleAdopted  *obs.Counter // PUT bundles accepted
+	bundleRejected *obs.Counter // PUT bundles rejected as corrupt
 
-	profileServed  int64 // GET profile hits
-	profileMissing int64 // GET profile 404s
-	profileAdopted int64 // PUT profiles retained
+	profileServed  *obs.Counter // GET profile hits
+	profileMissing *obs.Counter // GET profile 404s
+	profileAdopted *obs.Counter // PUT profiles retained
 
-	workers map[string]*workerStats
+	// workers holds each worker's completed-task histogram; a worker
+	// appears once it leases, before its first completion.
+	workers *obs.Vec[*obs.Histogram]
 }
 
-// NewMetrics returns an empty collector.
-func NewMetrics() *Metrics {
-	return &Metrics{workers: map[string]*workerStats{}}
-}
+// NewMetrics returns an empty collector; depth reads the queue's
+// pending and leased task counts at render time.
+func NewMetrics(depth func() (pending, leased int)) *Metrics {
+	m := &Metrics{workers: obs.NewVec[obs.Histogram]("worker")}
+	tasks := obs.NewVec[obs.Counter]("state", "submitted", "done", "requeued", "failed", "duplicate", "mismatch")
+	m.submitted, m.done, m.requeued = tasks.With("submitted"), tasks.With("done"), tasks.With("requeued")
+	m.failed, m.duplicates, m.mismatches = tasks.With("failed"), tasks.With("duplicate"), tasks.With("mismatch")
+	bundles := obs.NewVec[obs.Counter]("op", "served", "missing", "adopted", "rejected")
+	m.bundleServed, m.bundleMissing = bundles.With("served"), bundles.With("missing")
+	m.bundleAdopted, m.bundleRejected = bundles.With("adopted"), bundles.With("rejected")
+	profiles := obs.NewVec[obs.Counter]("op", "served", "missing", "adopted")
+	m.profileServed, m.profileMissing, m.profileAdopted = profiles.With("served"), profiles.With("missing"), profiles.With("adopted")
 
-func (m *Metrics) addSubmitted(n int64) { m.mu.Lock(); m.submitted += n; m.mu.Unlock() }
-func (m *Metrics) requeued()            { m.mu.Lock(); m.requeuedN++; m.mu.Unlock() }
-
-func (m *Metrics) taskFailed()     { m.mu.Lock(); m.failed++; m.mu.Unlock() }
-func (m *Metrics) duplicate()      { m.mu.Lock(); m.duplicates++; m.mu.Unlock() }
-func (m *Metrics) resultMismatch() { m.mu.Lock(); m.mismatches++; m.mu.Unlock() }
-func (m *Metrics) leaseExpired()   { m.mu.Lock(); m.expiries++; m.mu.Unlock() }
-
-func (m *Metrics) bundleGet(ok bool) {
-	m.mu.Lock()
-	if ok {
-		m.bundleServed++
-	} else {
-		m.bundleMissing++
-	}
-	m.mu.Unlock()
-}
-
-func (m *Metrics) bundlePut(ok bool) {
-	m.mu.Lock()
-	if ok {
-		m.bundleAdopted++
-	} else {
-		m.bundleRejected++
-	}
-	m.mu.Unlock()
-}
-
-func (m *Metrics) profileGet(ok bool) {
-	m.mu.Lock()
-	if ok {
-		m.profileServed++
-	} else {
-		m.profileMissing++
-	}
-	m.mu.Unlock()
-}
-
-func (m *Metrics) profilePut() { m.mu.Lock(); m.profileAdopted++; m.mu.Unlock() }
-
-// workerSeen makes a worker visible in the metrics even before its
-// first completion.
-func (m *Metrics) workerSeen(worker string) {
-	m.mu.Lock()
-	if m.workers[worker] == nil {
-		m.workers[worker] = &workerStats{}
-	}
-	m.mu.Unlock()
+	r := &m.reg
+	r.Register("pathflow_fabric_tasks_total", "Fabric task events by state.", tasks)
+	m.expiries = r.Counter("pathflow_fabric_lease_expiries_total", "Leases reaped after missed heartbeats.")
+	r.Collect(func(w *obs.Writer) {
+		pending, leased := depth()
+		w.Gauge("pathflow_fabric_tasks_pending", "Tasks waiting for a lease.", int64(pending))
+		w.Gauge("pathflow_fabric_tasks_leased", "Tasks currently leased to workers.", int64(leased))
+		w.Gauge("pathflow_fabric_workers", "Distinct workers that have leased tasks.", int64(m.workers.Len()))
+	})
+	r.Register("pathflow_fabric_bundles_total", "Bundle exchange events by direction and outcome.", bundles)
+	r.Register("pathflow_fabric_profiles_total", "Training-profile exchange events.", profiles)
+	r.Register("pathflow_fabric_worker_task_seconds", "Worker-measured task compute time.", m.workers)
+	return m
 }
 
 // taskDone records one successful completion into the worker's
 // histogram.
 func (m *Metrics) taskDone(worker string, d time.Duration) {
-	sec := d.Seconds()
-	m.mu.Lock()
-	m.done++
-	ws := m.workers[worker]
-	if ws == nil {
-		ws = &workerStats{}
-		m.workers[worker] = ws
-	}
-	ws.tasks++
-	ws.sum += sec
-	for i, ub := range taskBucketBounds {
-		if sec <= ub {
-			ws.buckets[i]++
-		}
-	}
-	m.mu.Unlock()
+	m.done.Inc()
+	m.workers.With(worker).Observe(d.Seconds())
 }
 
 // WriteTo renders the fabric metric families in Prometheus text format.
-// pending and leased are the queue depths at render time.
-func (m *Metrics) WriteTo(w io.Writer, pending, leased int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	fmt.Fprintf(w, "# HELP pathflow_fabric_tasks_total Fabric task events by state.\n")
-	fmt.Fprintf(w, "# TYPE pathflow_fabric_tasks_total counter\n")
-	for _, s := range []struct {
-		state string
-		v     int64
-	}{
-		{"submitted", m.submitted},
-		{"done", m.done},
-		{"requeued", m.requeuedN},
-		{"failed", m.failed},
-		{"duplicate", m.duplicates},
-		{"mismatch", m.mismatches},
-	} {
-		fmt.Fprintf(w, "pathflow_fabric_tasks_total{state=%q} %d\n", s.state, s.v)
-	}
-
-	fmt.Fprintf(w, "# HELP pathflow_fabric_lease_expiries_total Leases reaped after missed heartbeats.\n")
-	fmt.Fprintf(w, "# TYPE pathflow_fabric_lease_expiries_total counter\n")
-	fmt.Fprintf(w, "pathflow_fabric_lease_expiries_total %d\n", m.expiries)
-
-	fmt.Fprintf(w, "# HELP pathflow_fabric_tasks_pending Tasks waiting for a lease.\n")
-	fmt.Fprintf(w, "# TYPE pathflow_fabric_tasks_pending gauge\n")
-	fmt.Fprintf(w, "pathflow_fabric_tasks_pending %d\n", pending)
-	fmt.Fprintf(w, "# HELP pathflow_fabric_tasks_leased Tasks currently leased to workers.\n")
-	fmt.Fprintf(w, "# TYPE pathflow_fabric_tasks_leased gauge\n")
-	fmt.Fprintf(w, "pathflow_fabric_tasks_leased %d\n", leased)
-
-	fmt.Fprintf(w, "# HELP pathflow_fabric_workers Distinct workers that have leased tasks.\n")
-	fmt.Fprintf(w, "# TYPE pathflow_fabric_workers gauge\n")
-	fmt.Fprintf(w, "pathflow_fabric_workers %d\n", len(m.workers))
-
-	fmt.Fprintf(w, "# HELP pathflow_fabric_bundles_total Bundle exchange events by direction and outcome.\n")
-	fmt.Fprintf(w, "# TYPE pathflow_fabric_bundles_total counter\n")
-	for _, s := range []struct {
-		op string
-		v  int64
-	}{
-		{"served", m.bundleServed},
-		{"missing", m.bundleMissing},
-		{"adopted", m.bundleAdopted},
-		{"rejected", m.bundleRejected},
-	} {
-		fmt.Fprintf(w, "pathflow_fabric_bundles_total{op=%q} %d\n", s.op, s.v)
-	}
-
-	fmt.Fprintf(w, "# HELP pathflow_fabric_profiles_total Training-profile exchange events.\n")
-	fmt.Fprintf(w, "# TYPE pathflow_fabric_profiles_total counter\n")
-	for _, s := range []struct {
-		op string
-		v  int64
-	}{
-		{"served", m.profileServed},
-		{"missing", m.profileMissing},
-		{"adopted", m.profileAdopted},
-	} {
-		fmt.Fprintf(w, "pathflow_fabric_profiles_total{op=%q} %d\n", s.op, s.v)
-	}
-
-	names := make([]string, 0, len(m.workers))
-	for name := range m.workers {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fmt.Fprintf(w, "# HELP pathflow_fabric_worker_task_seconds Worker-measured task compute time.\n")
-	fmt.Fprintf(w, "# TYPE pathflow_fabric_worker_task_seconds histogram\n")
-	for _, name := range names {
-		ws := m.workers[name]
-		for i, ub := range taskBucketBounds {
-			fmt.Fprintf(w, "pathflow_fabric_worker_task_seconds_bucket{worker=%q,le=%q} %d\n",
-				name, formatBound(ub), ws.buckets[i])
-		}
-		fmt.Fprintf(w, "pathflow_fabric_worker_task_seconds_bucket{worker=%q,le=\"+Inf\"} %d\n", name, ws.tasks)
-		fmt.Fprintf(w, "pathflow_fabric_worker_task_seconds_sum{worker=%q} %g\n", name, ws.sum)
-		fmt.Fprintf(w, "pathflow_fabric_worker_task_seconds_count{worker=%q} %d\n", name, ws.tasks)
-	}
-}
-
-func formatBound(ub float64) string { return fmt.Sprintf("%g", ub) }
+func (m *Metrics) WriteTo(w io.Writer) (int64, error) { return m.reg.WriteTo(w) }

@@ -100,7 +100,7 @@ func (q *queue) submit(specs []TaskSpec, observer func(TaskEvent)) *Batch {
 		q.tasks[t.id] = t
 		q.pending[t.id] = t
 	}
-	q.metrics.addSubmitted(int64(len(specs)))
+	q.metrics.submitted.Add(int64(len(specs)))
 	if b.remaining == 0 {
 		close(b.done)
 	}
@@ -235,7 +235,7 @@ func (q *queue) lease(worker string, now time.Time) (*task, time.Duration) {
 	if best.affinity != "" {
 		q.served[best.affinity] = true
 	}
-	q.metrics.workerSeen(worker)
+	q.metrics.workers.With(worker)
 	return best, 0
 }
 
@@ -265,9 +265,9 @@ func (q *queue) complete(req *CompleteRequest, now time.Time) string {
 	}
 	if t.state == taskDone {
 		if fingerprint(req.Result) != t.resultFP {
-			q.metrics.resultMismatch()
+			q.metrics.mismatches.Inc()
 		} else {
-			q.metrics.duplicate()
+			q.metrics.duplicates.Inc()
 		}
 		return CompleteDuplicate
 	}
@@ -311,7 +311,7 @@ func (q *queue) requeueLocked(t *task, now time.Time, worker, why string, dur ti
 	t.worker = ""
 	t.notBefore = now.Add(backoff(t.attempt-1, q.cfg.retryBase(), q.cfg.leaseTTL()))
 	q.pending[t.id] = t
-	q.metrics.requeued()
+	q.metrics.requeued.Inc()
 	if t.batch.observer != nil {
 		t.batch.observer(TaskEvent{Index: t.index, Worker: worker, Duration: dur, Requeued: true, Err: why})
 	}
@@ -321,7 +321,7 @@ func (q *queue) requeueLocked(t *task, now time.Time, worker, why string, dur ti
 // other tasks.
 func (q *queue) failLocked(t *task, err error) {
 	b := t.batch
-	q.metrics.taskFailed()
+	q.metrics.failed.Inc()
 	for id, bt := range q.tasks {
 		if bt.batch != b {
 			continue
@@ -356,7 +356,7 @@ func (q *queue) reapLocked(now time.Time) {
 		worker := t.worker
 		t.leaseID, t.worker = "", ""
 		t.attempt++
-		q.metrics.leaseExpired()
+		q.metrics.expiries.Inc()
 		if t.attempt >= q.cfg.maxAttempts() {
 			q.failLocked(t, fmt.Errorf("fabric: lease expired after %d attempts (last worker %s)",
 				t.attempt, worker))

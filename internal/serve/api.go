@@ -28,6 +28,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"time"
 
@@ -415,15 +416,23 @@ func errorBody(err error) ErrorBody {
 	if errors.Is(err, context.DeadlineExceeded) {
 		b.Hint = "job deadline exceeded; raise timeout_ms or the server's -timeout"
 	}
+	var mb *http.MaxBytesError
+	if errors.As(err, &mb) {
+		b.Hint = fmt.Sprintf("request bodies are limited to %d bytes; send large profiles as several batches", mb.Limit)
+	}
 	return b
 }
 
 // statusFor maps request-validation errors to HTTP status codes: unknown
-// program names are 404, every other bad input is 400.
+// program names are 404, oversize bodies 413, every other bad input 400.
 func statusFor(err error) int {
 	var ub *bench.UnknownBenchmarkError
 	if errors.As(err, &ub) {
 		return http.StatusNotFound
+	}
+	var mb *http.MaxBytesError
+	if errors.As(err, &mb) {
+		return http.StatusRequestEntityTooLarge
 	}
 	return http.StatusBadRequest
 }

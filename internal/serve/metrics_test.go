@@ -9,6 +9,9 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
+
+	"pathflow/internal/engine"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -90,5 +93,22 @@ func TestMetricsGolden(t *testing.T) {
 	}
 	if got.String() != string(want) {
 		t.Errorf("/metrics drifted from %s:\n--- got ---\n%s", path, got.String())
+	}
+}
+
+// TestObserveStageAllocFree: once a stage's series exist, recording a
+// stage event — computed or replayed from disk — allocates nothing, so
+// the metrics cost on the request path stays flat.
+func TestObserveStageAllocFree(t *testing.T) {
+	sm := newServerMetrics(func() engine.CacheStats { return engine.CacheStats{} })
+	computed := engine.StageEvent{Stage: engine.StageTrace, Duration: 3 * time.Millisecond}
+	replayed := engine.StageEvent{Stage: engine.StageTrace, Cached: true, Source: engine.SourceDisk, Decode: time.Microsecond}
+	sm.observeStage(computed)
+	sm.observeStage(replayed)
+	if n := testing.AllocsPerRun(100, func() {
+		sm.observeStage(computed)
+		sm.observeStage(replayed)
+	}); n != 0 {
+		t.Fatalf("observeStage allocates %.1f times per call pair in steady state", n)
 	}
 }

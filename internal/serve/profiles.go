@@ -66,11 +66,11 @@ func (ts *targetStream) setAnalyzed(pp *bl.ProgramProfile, ca float64) {
 // the program memo; the second return hands it to the caller so the
 // profile is not computed twice.
 func (s *Server) streamFor(rt *resolvedTarget) (*targetStream, *bl.ProgramProfile, error) {
-	train, profMS, memoHit, err := s.memo.trainProfile(rt)
+	train, _, memoHit, err := s.memo.trainProfile(rt)
 	if err != nil {
 		return nil, nil, err
 	}
-	s.metrics.observeProfile(time.Duration(profMS*float64(time.Millisecond)), memoHit)
+	s.metrics.observeProfile(memoHit)
 
 	s.streamsMu.Lock()
 	ts, ok := s.streams[rt.key]
@@ -213,8 +213,8 @@ type StreamStateResponse struct {
 
 func (s *Server) handleProfileIngest(w http.ResponseWriter, r *http.Request) {
 	var req IngestRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, requestID(r), http.StatusBadRequest, err)
+	if err := decodeBody(w, r, &req); err != nil {
+		writeError(w, requestID(r), statusFor(err), err)
 		return
 	}
 	rt, err := resolveTarget(&req.TargetSpec)

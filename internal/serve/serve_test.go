@@ -536,6 +536,18 @@ func TestErrorMapping(t *testing.T) {
 		}
 	}
 
+	// A body one byte over the limit → 413 with a hint, and the server
+	// keeps serving.
+	prefix, suffix := `{"source": "`, `"}`
+	big := prefix + strings.Repeat(" ", maxBodyBytes+1-len(prefix)-len(suffix)) + suffix
+	resp, eb = post(big)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || eb.Hint == "" {
+		t.Errorf("oversize body: status = %d, body %+v; want 413 with a hint", resp.StatusCode, eb)
+	}
+	if resp, data := getBody(t, ts.URL+"/healthz"); resp.StatusCode != http.StatusOK {
+		t.Errorf("healthz after oversize body = %d: %s", resp.StatusCode, data)
+	}
+
 	// Sweep with no points → 400.
 	resp, data := postJSON(t, ts.URL+"/v1/sweep", []byte(`{"program": "compress", "points": []}`))
 	if resp.StatusCode != http.StatusBadRequest {

@@ -127,7 +127,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		eng:     eng,
-		metrics: newServerMetrics(),
+		metrics: newServerMetrics(eng.CacheStats),
 		memo:    newProgMemo(),
 		streams: map[string]*targetStream{},
 	}
@@ -168,7 +168,7 @@ func (s *Server) Jobs() *Manager { return s.jobs }
 // included), for tests and embedding.
 func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.metrics.request()
+		s.metrics.requests.Inc()
 		id := r.Header.Get("X-Request-ID")
 		if id == "" {
 			id = fmt.Sprintf("req-%d", s.reqSeq.Add(1))
@@ -384,7 +384,7 @@ func (s *Server) runPoints(ctx context.Context, job *Job, rt *resolvedTarget, po
 	if err != nil {
 		return err
 	}
-	s.metrics.observeProfile(time.Duration(profMS*float64(time.Millisecond)), memoHit)
+	s.metrics.observeProfile(memoHit)
 	job.events.append(Event{
 		Type: "profile", Job: job.id, Time: time.Now(),
 		DurationMS: profMS, Cached: memoHit,
@@ -418,9 +418,16 @@ func (s *Server) runPoints(ctx context.Context, job *Job, rt *resolvedTarget, po
 
 // --- Handlers -------------------------------------------------------------
 
-// decodeBody strictly decodes a JSON request body.
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes bounds every JSON request body: orders of magnitude above
+// real requests (the largest benchmark source inlined, or a profile-delta
+// batch, is tens of kilobytes), low enough that no request can make the
+// decoder buffer an unbounded body.
+const maxBodyBytes = 4 << 20
+
+// decodeBody strictly decodes a JSON request body of at most
+// maxBodyBytes.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("serve: bad request body: %w", err)
@@ -437,8 +444,8 @@ func (s *Server) timeoutFor(ms int64) time.Duration {
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req AnalyzeRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, requestID(r), http.StatusBadRequest, err)
+	if err := decodeBody(w, r, &req); err != nil {
+		writeError(w, requestID(r), statusFor(err), err)
 		return
 	}
 	rt, err := resolveTarget(&req.TargetSpec)
@@ -470,8 +477,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, requestID(r), http.StatusBadRequest, err)
+	if err := decodeBody(w, r, &req); err != nil {
+		writeError(w, requestID(r), statusFor(err), err)
 		return
 	}
 	if len(req.Points) == 0 {
@@ -666,12 +673,11 @@ func (s *Server) handlePrograms(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	inFlight, accepted := s.metrics.snapshot()
 	h := Health{
 		Status:        "ok",
 		UptimeSeconds: time.Since(s.metrics.start).Seconds(),
-		JobsInFlight:  inFlight,
-		JobsAccepted:  accepted,
+		JobsInFlight:  int(s.metrics.jobsInFlight.Value()),
+		JobsAccepted:  s.metrics.jobsAccepted.Value(),
 		EngineCache:   cacheJSON(s.eng.CacheStats()),
 	}
 	if s.fabric != nil {
@@ -683,7 +689,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.render(w, s.eng.CacheStats())
+	s.metrics.reg.WriteTo(w) //nolint:errcheck // client gone is not actionable
 	if s.fabric != nil {
 		s.fabric.WriteMetrics(w)
 	}
