@@ -403,6 +403,7 @@ job_result "$tmpdir/scold.json" "$tmpdir/scold_result.json"
 cmp -s "$tmpdir/slive_result.json" "$tmpdir/scold_result.json" || {
     echo "streaming smoke: requalified result differs from cold live analysis" >&2
     diff "$tmpdir/slive_result.json" "$tmpdir/scold_result.json" >&2 || true; exit 1; }
+stop_serve "$tmpdir/stream2.log"
 
 echo "== watch smoke"
 # Watch-mode continuous re-analysis end to end: start `pathflow watch`

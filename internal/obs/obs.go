@@ -126,7 +126,7 @@ func (h *Histogram) put(w *Writer, name, labels string) { h.Value().put(w, name,
 // in the order given to NewVec, then by label value.
 type Vec[M Metric] struct {
 	label  string
-	k      string
+	typ    string // the series' metric type
 	rank   map[string]int
 	newM   func() M
 	mu     sync.Mutex
@@ -145,7 +145,7 @@ func NewVec[T any, M interface {
 		rank[v] = i
 	}
 	newM := func() M { return new(T) }
-	return &Vec[M]{label: label, k: newM().kind(), rank: rank, newM: newM, series: map[string]M{}}
+	return &Vec[M]{label: label, typ: newM().kind(), rank: rank, newM: newM, series: map[string]M{}}
 }
 
 // With returns the series for label value v, creating it once.
@@ -167,7 +167,7 @@ func (vec *Vec[M]) Len() int {
 	return len(vec.series)
 }
 
-func (vec *Vec[M]) kind() string { return vec.k }
+func (vec *Vec[M]) kind() string { return vec.typ }
 
 func (vec *Vec[M]) put(w *Writer, name, _ string) {
 	type entry struct {
