@@ -47,17 +47,9 @@ const (
 
 // Delta is the classified difference between two versions of one
 // function (plus their training profiles) and the per-stage dirtiness it
-// implies. The dirty-set prediction mirrors the per-stage cache-key
-// table in cache.go exactly:
-//
-//	stage      dirty iff
-//	baseline   shape ∨ body
-//	select     shape ∨ counts ∨ prof
-//	automaton  shape ∨ rec ∨ dirty(select)
-//	trace      shape ∨ body ∨ dirty(automaton)
-//	analyze    dirty(trace)
-//	translate  shape ∨ prof ∨ dirty(automaton)
-//	reduce     dirty(analyze) ∨ dirty(translate)
+// implies, read off the stageKeys table in cache.go: a stage is dirty
+// iff the edit changed one of the slices in its row or dirtied a stage
+// its row chains.
 //
 // Soundness: each stage's cache key hashes exactly the slices in its
 // row plus its ancestors' keys, so "every slice bit clean and every
@@ -92,11 +84,13 @@ func DiffFunc(oldFn, newFn *cfg.Func, oldTrain, newTrain *bl.Profile) *Delta {
 		d.compute()
 		return d
 	}
-	d.Shape = FingerprintShape(oldFn) != FingerprintShape(newFn)
-	d.Counts = FingerprintCounts(oldFn) != FingerprintCounts(newFn)
-	d.Body = FingerprintBody(oldFn) != FingerprintBody(newFn)
-	d.Prof = profFingerprint(oldTrain) != profFingerprint(newTrain)
-	d.Rec = recFingerprint(oldTrain) != recFingerprint(newTrain)
+	of, nf := funcPrints(oldFn), funcPrints(newFn)
+	op, np := profilePrints(oldTrain), profilePrints(newTrain)
+	d.Shape = of.shape != nf.shape
+	d.Counts = of.counts != nf.counts
+	d.Body = of.body != nf.body
+	d.Prof = op.prof != np.prof
+	d.Rec = op.rec != np.rec
 	switch {
 	case d.Shape:
 		d.Class = DeltaShape
@@ -113,32 +107,24 @@ func DiffFunc(oldFn, newFn *cfg.Func, oldTrain, newTrain *bl.Profile) *Delta {
 	return d
 }
 
-func profFingerprint(pr *bl.Profile) uint64 {
-	if pr == nil {
-		return 0
-	}
-	return FingerprintProfile(pr)
-}
-
-func recFingerprint(pr *bl.Profile) uint64 {
-	if pr == nil {
-		return 0
-	}
-	return FingerprintRecording(pr.R)
-}
-
-// compute fills the dirty map from the change bits; see the table on
-// Delta.
+// compute fills the dirty map from the change bits and the stageKeys
+// table, in execution order so every chained stage is settled first.
 func (d *Delta) compute() {
-	dirty := map[StageName]bool{}
-	dirty[StageBaseline] = d.Shape || d.Body
-	dirty[StageSelect] = d.Shape || d.Counts || d.Prof
-	dirty[StageAutomaton] = d.Shape || d.Rec || dirty[StageSelect]
-	dirty[StageTrace] = d.Shape || d.Body || dirty[StageAutomaton]
-	dirty[StageAnalyze] = dirty[StageTrace]
-	dirty[StageTranslate] = d.Shape || d.Prof || dirty[StageAutomaton]
-	dirty[StageReduce] = dirty[StageAnalyze] || dirty[StageTranslate]
-	d.dirty = dirty
+	var changed sliceBits
+	for i, b := range [...]bool{d.Shape, d.Counts, d.Body, d.Prof, d.Rec} {
+		if b {
+			changed |= 1 << i
+		}
+	}
+	d.dirty = map[StageName]bool{}
+	for _, s := range PipelineStages {
+		r := stageKeys[s]
+		dirty := r.slices&changed != 0
+		for _, up := range r.chain {
+			dirty = dirty || d.dirty[up]
+		}
+		d.dirty[s] = dirty
+	}
 }
 
 // Dirty reports whether the edit (or an upstream consequence of it)

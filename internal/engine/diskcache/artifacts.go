@@ -1,6 +1,7 @@
 package diskcache
 
 import (
+	"sort"
 	"time"
 
 	"pathflow/internal/automaton"
@@ -49,11 +50,7 @@ func encodeCosts(e *enc, c Costs) {
 	for s := range c {
 		names = append(names, s)
 	}
-	for i := 1; i < len(names); i++ { // insertion sort; ≤ 7 stages
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
+	sort.Strings(names)
 	e.u64(uint64(len(names)))
 	for _, s := range names {
 		e.str(s)
@@ -293,7 +290,7 @@ func encodeProfile(e *enc, pr *bl.Profile) {
 	for k := range pr.Entries {
 		keys = append(keys, k)
 	}
-	sortStrings(keys)
+	sort.Strings(keys)
 	e.u64(uint64(len(keys)))
 	for _, k := range keys {
 		ent := pr.Entries[k]
@@ -342,14 +339,6 @@ func decodeProfile(d *dec, g *cfg.Graph) *bl.Profile {
 		return nil
 	}
 	return pr
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // --- Automata -------------------------------------------------------------
@@ -403,46 +392,60 @@ func decodeAutomaton(d *dec, R map[cfg.EdgeID]bool) *automaton.Automaton {
 
 // --- Bundles --------------------------------------------------------------
 
-// EncodeSelect frames a hot-path selection bundle.
-func EncodeSelect(meta Meta, hot []bl.Path) []byte {
+// encodeBundle writes the envelope every bundle shares — the Meta
+// provenance, then the kind's payload written by body — and frames it.
+func encodeBundle(kind Kind, meta Meta, body func(*enc)) []byte {
 	var e enc
 	encodeMeta(&e, meta)
-	encodeHot(&e, hot)
-	return frame(KindSelect, e.b)
+	body(&e)
+	return frame(kind, e.b)
+}
+
+// decodeBundle unframes a bundle of the given kind, reads its Meta, and
+// reads the payload with body, which reports structural defects through
+// d.fail. The payload must be consumed exactly.
+func decodeBundle[T any](kind Kind, data []byte, body func(*dec) T) (Meta, T, error) {
+	var zero T
+	payload, err := unframe(kind, data)
+	if err != nil {
+		return Meta{}, zero, err
+	}
+	d := &dec{b: payload}
+	meta := decodeMeta(d)
+	v := body(d)
+	if err := d.done(); err != nil {
+		return Meta{}, zero, err
+	}
+	return meta, v, nil
+}
+
+// EncodeSelect frames a hot-path selection bundle.
+func EncodeSelect(meta Meta, hot []bl.Path) []byte {
+	return encodeBundle(KindSelect, meta, func(e *enc) { encodeHot(e, hot) })
 }
 
 // DecodeSelect decodes a selection bundle; edge IDs are validated
 // against the function's graph.
 func DecodeSelect(data []byte, g *cfg.Graph) (Meta, []bl.Path, error) {
-	payload, err := unframe(KindSelect, data)
-	if err != nil {
-		return Meta{}, nil, err
-	}
-	d := &dec{b: payload}
-	meta := decodeMeta(d)
-	hot := decodeHot(d, g)
-	if err := d.done(); err != nil {
-		return Meta{}, nil, err
-	}
-	return meta, hot, nil
+	return decodeBundle(KindSelect, data, func(d *dec) []bl.Path { return decodeHot(d, g) })
 }
 
 // EncodeBaseline frames a CA = 0 baseline-solution bundle.
 func EncodeBaseline(meta Meta, sol *constprop.Result) []byte {
-	return encodeSolutionBundle(KindBaseline, meta, sol)
+	return encodeBundle(KindBaseline, meta, func(e *enc) { encodeSolution(e, sol) })
 }
 
 // DecodeBaseline decodes a baseline bundle against the function's own
 // graph (which the solution is re-attached to).
 func DecodeBaseline(data []byte, g *cfg.Graph, numVars int) (Meta, *constprop.Result, error) {
-	return decodeSolutionBundle(KindBaseline, data, g, numVars)
+	return decodeBundle(KindBaseline, data, func(d *dec) *constprop.Result { return decodeSolution(d, g, numVars) })
 }
 
 // EncodeAnalyze frames the HPG analysis bundle: the Wegman-Zadek
 // solution on the traced graph, without the graph itself (the trace
 // bundle owns the graph; the decoder re-attaches).
 func EncodeAnalyze(meta Meta, sol *constprop.Result) []byte {
-	return encodeSolutionBundle(KindAnalyze, meta, sol)
+	return encodeBundle(KindAnalyze, meta, func(e *enc) { encodeSolution(e, sol) })
 }
 
 // DecodeAnalyze decodes an analyze bundle against the live HPG graph it
@@ -450,53 +453,19 @@ func EncodeAnalyze(meta Meta, sol *constprop.Result) []byte {
 // the Merkle chain guarantees the shapes agree, and the decoder
 // re-validates them).
 func DecodeAnalyze(data []byte, g *cfg.Graph, numVars int) (Meta, *constprop.Result, error) {
-	return decodeSolutionBundle(KindAnalyze, data, g, numVars)
-}
-
-func encodeSolutionBundle(kind Kind, meta Meta, sol *constprop.Result) []byte {
-	var e enc
-	encodeMeta(&e, meta)
-	encodeSolution(&e, sol)
-	return frame(kind, e.b)
-}
-
-func decodeSolutionBundle(kind Kind, data []byte, g *cfg.Graph, numVars int) (Meta, *constprop.Result, error) {
-	payload, err := unframe(kind, data)
-	if err != nil {
-		return Meta{}, nil, err
-	}
-	d := &dec{b: payload}
-	meta := decodeMeta(d)
-	sol := decodeSolution(d, g, numVars)
-	if err := d.done(); err != nil {
-		return Meta{}, nil, err
-	}
-	return meta, sol, nil
+	return decodeBundle(KindAnalyze, data, func(d *dec) *constprop.Result { return decodeSolution(d, g, numVars) })
 }
 
 // EncodeAutomatonBundle frames a qualification-automaton bundle.
 func EncodeAutomatonBundle(meta Meta, a *automaton.Automaton) []byte {
-	var e enc
-	encodeMeta(&e, meta)
-	encodeAutomaton(&e, a)
-	return frame(KindAutomaton, e.b)
+	return encodeBundle(KindAutomaton, meta, func(e *enc) { encodeAutomaton(e, a) })
 }
 
 // DecodeAutomatonBundle decodes an automaton bundle, rebuilding the
 // automaton against recording set R (owned by the training profile the
 // bundle was keyed by).
 func DecodeAutomatonBundle(data []byte, R map[cfg.EdgeID]bool) (Meta, *automaton.Automaton, error) {
-	payload, err := unframe(KindAutomaton, data)
-	if err != nil {
-		return Meta{}, nil, err
-	}
-	d := &dec{b: payload}
-	meta := decodeMeta(d)
-	auto := decodeAutomaton(d, R)
-	if err := d.done(); err != nil {
-		return Meta{}, nil, err
-	}
-	return meta, auto, nil
+	return decodeBundle(KindAutomaton, data, func(d *dec) *automaton.Automaton { return decodeAutomaton(d, R) })
 }
 
 // EncodeTrace frames a traced-HPG bundle: the traced graph plus its
@@ -504,221 +473,214 @@ func DecodeAutomatonBundle(data []byte, R map[cfg.EdgeID]bool) (Meta, *automaton
 // automaton is not re-encoded — the trace key chains the automaton key,
 // so the decoder receives the same automaton the graph was traced with.
 func EncodeTrace(meta Meta, h *trace.HPG) []byte {
-	var e enc
-	encodeMeta(&e, meta)
-	encodeGraph(&e, h.G)
-	for _, v := range h.OrigNode {
-		e.i64(int64(v))
-	}
-	for _, q := range h.State {
-		e.i64(int64(q))
-	}
-	for _, eid := range h.OrigEdge {
-		e.i64(int64(eid))
-	}
-	return frame(KindTrace, e.b)
+	return encodeBundle(KindTrace, meta, func(e *enc) {
+		encodeGraph(e, h.G)
+		for _, v := range h.OrigNode {
+			e.i64(int64(v))
+		}
+		for _, q := range h.State {
+			e.i64(int64(q))
+		}
+		for _, eid := range h.OrigEdge {
+			e.i64(int64(eid))
+		}
+	})
 }
 
 // DecodeTrace decodes a trace bundle for fn, reassembling the HPG
 // around the supplied automaton with full revalidation.
 func DecodeTrace(data []byte, fn *cfg.Func, a *automaton.Automaton) (Meta, *trace.HPG, error) {
-	payload, err := unframe(KindTrace, data)
-	if err != nil {
-		return Meta{}, nil, err
-	}
-	d := &dec{b: payload}
-	meta := decodeMeta(d)
-	g := decodeGraph(d, fn.NumVars())
-	if d.err != nil {
-		return Meta{}, nil, d.err
-	}
-	origNode := make([]cfg.NodeID, g.NumNodes())
-	for i := range origNode {
-		origNode[i] = cfg.NodeID(d.i64())
-	}
-	state := make([]automaton.State, g.NumNodes())
-	for i := range state {
-		state[i] = automaton.State(d.i64())
-	}
-	origEdge := make([]cfg.EdgeID, g.NumEdges())
-	for i := range origEdge {
-		origEdge[i] = cfg.EdgeID(d.i64())
-	}
-	if err := d.done(); err != nil {
-		return Meta{}, nil, err
-	}
-	h, err := trace.Assemble(fn, a, g, origNode, state, origEdge)
-	if err != nil {
-		return Meta{}, nil, ErrCorrupt
-	}
-	return meta, h, nil
+	return decodeBundle(KindTrace, data, func(d *dec) *trace.HPG {
+		g := decodeGraph(d, fn.NumVars())
+		if g == nil {
+			return nil
+		}
+		origNode := make([]cfg.NodeID, g.NumNodes())
+		for i := range origNode {
+			origNode[i] = cfg.NodeID(d.i64())
+		}
+		state := make([]automaton.State, g.NumNodes())
+		for i := range state {
+			state[i] = automaton.State(d.i64())
+		}
+		origEdge := make([]cfg.EdgeID, g.NumEdges())
+		for i := range origEdge {
+			origEdge[i] = cfg.EdgeID(d.i64())
+		}
+		if d.err != nil {
+			return nil
+		}
+		h, err := trace.Assemble(fn, a, g, origNode, state, origEdge)
+		if err != nil {
+			d.fail()
+		}
+		return h
+	})
 }
 
 // EncodeTranslate frames a translated-profile bundle (the training
 // profile re-expressed on the HPG, Lemma 2).
 func EncodeTranslate(meta Meta, prof *bl.Profile) []byte {
-	var e enc
-	encodeMeta(&e, meta)
-	encodeProfile(&e, prof)
-	return frame(KindTranslate, e.b)
+	return encodeBundle(KindTranslate, meta, func(e *enc) { encodeProfile(e, prof) })
 }
 
 // DecodeTranslate decodes a translate bundle against the live HPG graph
 // whose edges the profile's paths traverse.
 func DecodeTranslate(data []byte, g *cfg.Graph) (Meta, *bl.Profile, error) {
-	payload, err := unframe(KindTranslate, data)
-	if err != nil {
-		return Meta{}, nil, err
-	}
-	d := &dec{b: payload}
-	meta := decodeMeta(d)
-	prof := decodeProfile(d, g)
-	if err := d.done(); err != nil {
-		return Meta{}, nil, err
-	}
-	return meta, prof, nil
+	return decodeBundle(KindTranslate, data, func(d *dec) *bl.Profile { return decodeProfile(d, g) })
 }
 
 // EncodeReduced frames a reduction bundle: the quotient graph with its
 // HPG bookkeeping and the re-analyzed solution.
 func EncodeReduced(meta Meta, red *reduce.Reduced, sol *constprop.Result) []byte {
-	var e enc
-	encodeMeta(&e, meta)
-	encodeGraph(&e, red.G)
-	e.u64(uint64(len(red.Class)))
-	for _, c := range red.Class {
-		e.int(c)
-	}
-	e.u64(uint64(len(red.Members)))
-	for _, ms := range red.Members {
-		e.u64(uint64(len(ms)))
-		for _, m := range ms {
-			e.i64(int64(m))
+	return encodeBundle(KindReduced, meta, func(e *enc) {
+		encodeGraph(e, red.G)
+		e.u64(uint64(len(red.Class)))
+		for _, c := range red.Class {
+			e.int(c)
 		}
-	}
-	e.u64(uint64(len(red.Rep)))
-	for _, r := range red.Rep {
-		e.i64(int64(r))
-	}
-	for _, v := range red.OrigNode {
-		e.i64(int64(v))
-	}
-	for _, eid := range red.OrigEdge {
-		e.i64(int64(eid))
-	}
-	recording := cfg.SortedEdgeIDs(red.Recording)
-	e.u64(uint64(len(recording)))
-	for _, eid := range recording {
-		e.i64(int64(eid))
-	}
-	e.u64(uint64(len(red.Hot)))
-	for _, h := range red.Hot {
-		e.i64(int64(h))
-	}
-	e.u64(uint64(len(red.Weights)))
-	for _, w := range red.Weights {
-		e.i64(w)
-	}
-	encodeSolution(&e, sol)
-	return frame(KindReduced, e.b)
+		e.u64(uint64(len(red.Members)))
+		for _, ms := range red.Members {
+			e.u64(uint64(len(ms)))
+			for _, m := range ms {
+				e.i64(int64(m))
+			}
+		}
+		e.u64(uint64(len(red.Rep)))
+		for _, r := range red.Rep {
+			e.i64(int64(r))
+		}
+		for _, v := range red.OrigNode {
+			e.i64(int64(v))
+		}
+		for _, eid := range red.OrigEdge {
+			e.i64(int64(eid))
+		}
+		recording := cfg.SortedEdgeIDs(red.Recording)
+		e.u64(uint64(len(recording)))
+		for _, eid := range recording {
+			e.i64(int64(eid))
+		}
+		e.u64(uint64(len(red.Hot)))
+		for _, h := range red.Hot {
+			e.i64(int64(h))
+		}
+		e.u64(uint64(len(red.Weights)))
+		for _, w := range red.Weights {
+			e.i64(w)
+		}
+		encodeSolution(e, sol)
+	})
 }
 
 // DecodeReduced decodes a reduction bundle against the HPG it quotients.
 func DecodeReduced(data []byte, h *trace.HPG) (Meta, *reduce.Reduced, *constprop.Result, error) {
-	payload, err := unframe(KindReduced, data)
+	var sol *constprop.Result
+	meta, red, err := decodeBundle(KindReduced, data, func(d *dec) *reduce.Reduced {
+		red := decodeReduced(d, h)
+		if red != nil {
+			sol = decodeSolution(d, red.G, h.Fn.NumVars())
+		}
+		return red
+	})
 	if err != nil {
 		return Meta{}, nil, nil, err
 	}
-	numVars := h.Fn.NumVars()
-	d := &dec{b: payload}
-	meta := decodeMeta(d)
-	g := decodeGraph(d, numVars)
-	if d.err != nil {
-		return Meta{}, nil, nil, d.err
+	return meta, red, sol, nil
+}
+
+// decodeReduced reads a reduction bundle's quotient graph and its HPG
+// bookkeeping, bounds-checking every index against h and the graph.
+func decodeReduced(d *dec, h *trace.HPG) *reduce.Reduced {
+	// inRange reports whether v indexes a table of n entries; out-of-range
+	// values fail the decode.
+	inRange := func(v int64, n int) bool {
+		if v < 0 || v >= int64(n) {
+			d.fail()
+			return false
+		}
+		return true
+	}
+	g := decodeGraph(d, h.Fn.NumVars())
+	if g == nil {
+		return nil
 	}
 	red := &reduce.Reduced{H: h, G: g, Recording: map[cfg.EdgeID]bool{}}
 	nClass := d.sliceLen()
 	if d.err != nil || nClass != h.G.NumNodes() {
-		return Meta{}, nil, nil, ErrCorrupt
+		d.fail()
+		return nil
 	}
 	red.Class = make([]int, nClass)
-	nClasses := g.NumNodes() // one rHPG node per class
-	for i := 0; i < nClass; i++ {
-		c := d.int()
-		if c < 0 || c >= nClasses {
-			return Meta{}, nil, nil, ErrCorrupt
+	for i := range red.Class {
+		c := d.i64()
+		if !inRange(c, g.NumNodes()) { // one rHPG node per class
+			return nil
 		}
-		red.Class[i] = c
+		red.Class[i] = int(c)
 	}
-	nMembers := d.sliceLen()
-	red.Members = make([][]cfg.NodeID, nMembers)
-	for i := 0; i < nMembers; i++ {
-		m := d.sliceLen()
-		ms := make([]cfg.NodeID, m)
-		for j := 0; j < m; j++ {
+	red.Members = make([][]cfg.NodeID, d.sliceLen())
+	for i := range red.Members {
+		ms := make([]cfg.NodeID, d.sliceLen())
+		for j := range ms {
 			v := d.i64()
-			if v < 0 || v >= int64(h.G.NumNodes()) {
-				return Meta{}, nil, nil, ErrCorrupt
+			if !inRange(v, h.G.NumNodes()) {
+				return nil
 			}
 			ms[j] = cfg.NodeID(v)
 		}
 		red.Members[i] = ms
 	}
-	nRep := d.sliceLen()
-	red.Rep = make([]cfg.NodeID, nRep)
-	for i := 0; i < nRep; i++ {
+	red.Rep = make([]cfg.NodeID, d.sliceLen())
+	for i := range red.Rep {
 		v := d.i64()
-		if v < 0 || v >= int64(g.NumNodes()) {
-			return Meta{}, nil, nil, ErrCorrupt
+		if !inRange(v, g.NumNodes()) {
+			return nil
 		}
 		red.Rep[i] = cfg.NodeID(v)
 	}
 	red.OrigNode = make([]cfg.NodeID, g.NumNodes())
 	for i := range red.OrigNode {
 		v := d.i64()
-		if v < 0 || v >= int64(h.Fn.G.NumNodes()) {
-			return Meta{}, nil, nil, ErrCorrupt
+		if !inRange(v, h.Fn.G.NumNodes()) {
+			return nil
 		}
 		red.OrigNode[i] = cfg.NodeID(v)
 	}
 	red.OrigEdge = make([]cfg.EdgeID, g.NumEdges())
 	for i := range red.OrigEdge {
 		v := d.i64()
-		if v < 0 || v >= int64(h.Fn.G.NumEdges()) {
-			return Meta{}, nil, nil, ErrCorrupt
+		if !inRange(v, h.Fn.G.NumEdges()) {
+			return nil
 		}
 		red.OrigEdge[i] = cfg.EdgeID(v)
 	}
 	nRec := d.sliceLen()
 	for i := 0; i < nRec; i++ {
 		v := d.i64()
-		if v < 0 || v >= int64(g.NumEdges()) {
-			return Meta{}, nil, nil, ErrCorrupt
+		if !inRange(v, g.NumEdges()) {
+			return nil
 		}
 		red.Recording[cfg.EdgeID(v)] = true
 	}
-	nHot := d.sliceLen()
-	red.Hot = make([]cfg.NodeID, nHot)
-	for i := 0; i < nHot; i++ {
+	red.Hot = make([]cfg.NodeID, d.sliceLen())
+	for i := range red.Hot {
 		v := d.i64()
-		if v < 0 || v >= int64(h.G.NumNodes()) {
-			return Meta{}, nil, nil, ErrCorrupt
+		if !inRange(v, h.G.NumNodes()) {
+			return nil
 		}
 		red.Hot[i] = cfg.NodeID(v)
 	}
 	nW := d.sliceLen()
 	if d.err != nil || nW != h.G.NumNodes() {
-		return Meta{}, nil, nil, ErrCorrupt
+		d.fail()
+		return nil
 	}
 	red.Weights = make([]int64, nW)
-	for i := 0; i < nW; i++ {
+	for i := range red.Weights {
 		red.Weights[i] = d.i64()
 	}
-	sol := decodeSolution(d, g, numVars)
-	if err := d.done(); err != nil {
-		return Meta{}, nil, nil, err
-	}
-	return meta, red, sol, nil
+	return red
 }
 
 // --- Feasibility masks ----------------------------------------------------
@@ -727,34 +689,27 @@ func DecodeReduced(data []byte, h *trace.HPG) (Meta, *reduce.Reduced, *constprop
 // by cfg.EdgeID). The graph itself is not stored: the decoder validates
 // the mask's length against the live graph it re-attaches to.
 func EncodeFeasible(meta Meta, mask []bool) []byte {
-	var e enc
-	encodeMeta(&e, meta)
-	e.u64(uint64(len(mask)))
-	for _, b := range mask {
-		e.bool(b)
-	}
-	return frame(KindFeasible, e.b)
+	return encodeBundle(KindFeasible, meta, func(e *enc) {
+		e.u64(uint64(len(mask)))
+		for _, b := range mask {
+			e.bool(b)
+		}
+	})
 }
 
 // DecodeFeasible decodes a feasibility bundle against the tier's graph;
 // a mask whose length disagrees with the graph's edge count is corrupt.
 func DecodeFeasible(data []byte, g *cfg.Graph) (Meta, []bool, error) {
-	payload, err := unframe(KindFeasible, data)
-	if err != nil {
-		return Meta{}, nil, err
-	}
-	d := &dec{b: payload}
-	meta := decodeMeta(d)
-	n := d.sliceLen()
-	if d.err != nil || n != g.NumEdges() {
-		return Meta{}, nil, ErrCorrupt
-	}
-	mask := make([]bool, n)
-	for i := range mask {
-		mask[i] = d.bool()
-	}
-	if err := d.done(); err != nil {
-		return Meta{}, nil, err
-	}
-	return meta, mask, nil
+	return decodeBundle(KindFeasible, data, func(d *dec) []bool {
+		n := d.sliceLen()
+		if d.err != nil || n != g.NumEdges() {
+			d.fail()
+			return nil
+		}
+		mask := make([]bool, n)
+		for i := range mask {
+			mask[i] = d.bool()
+		}
+		return mask
+	})
 }

@@ -12,6 +12,7 @@ import (
 	"pathflow/internal/constprop"
 	"pathflow/internal/dataflow"
 	"pathflow/internal/dataflow/oracle"
+	"pathflow/internal/engine/diskcache"
 	"pathflow/internal/feasible"
 	"pathflow/internal/liveness"
 	"pathflow/internal/profile"
@@ -384,21 +385,21 @@ func (m *Metrics) add(s StageName, d, decode time.Duration, src Provenance) {
 // disk bundle carries exactly one pipeline stage, so in practice the
 // whole decode lands on the stage that owns the bundle and is never
 // folded into any stage's Duration.
-func (m *Metrics) merge(cost map[StageName]time.Duration, src Provenance, decode time.Duration) {
+func (m *Metrics) merge(cost diskcache.Costs, src Provenance, decode time.Duration) {
 	var decodeStage StageName
 	if decode > 0 {
 		for _, s := range StageOrder {
-			if _, ok := cost[s]; ok {
+			if _, ok := cost[string(s)]; ok {
 				decodeStage = s
 				break
 			}
 		}
 	}
 	for s, d := range cost {
-		if s == decodeStage {
-			m.add(s, d, decode, src)
+		if StageName(s) == decodeStage {
+			m.add(StageName(s), d, decode, src)
 		} else {
-			m.add(s, d, 0, src)
+			m.add(StageName(s), d, 0, src)
 		}
 	}
 }
