@@ -122,10 +122,17 @@ func (p Path) String(g *cfg.Graph) string {
 
 // Validate checks that the path satisfies Definition 7 with respect to the
 // recording-edge set R: edges are connected, only the final edge is
-// recording, and the path starts at a recording-edge target.
+// recording, and the path starts at a recording-edge target. Paths read
+// from outside (saved profiles, snapshots) may name any edge, so every
+// edge is range-checked against g before g is indexed.
 func (p Path) Validate(g *cfg.Graph, R map[cfg.EdgeID]bool) error {
 	if len(p.Edges) == 0 {
 		return fmt.Errorf("bl: empty path")
+	}
+	for _, e := range p.Edges {
+		if e < 0 || int(e) >= g.NumEdges() {
+			return fmt.Errorf("bl: path %s has edge %d out of range", p.Key(), e)
+		}
 	}
 	for i, e := range p.Edges {
 		last := i == len(p.Edges)-1

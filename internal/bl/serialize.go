@@ -130,6 +130,11 @@ func Load(r io.Reader, prog *cfg.Program) (*ProgramProfile, error) {
 			if p.Count < 0 {
 				return nil, fmt.Errorf("bl: %s: negative count", pj.Func)
 			}
+			// Save writes each path once; a repeat would sum counts
+			// (possibly past int64) instead of restoring them.
+			if _, dup := pr.Entries[path.Key()]; dup {
+				return nil, fmt.Errorf("bl: %s: duplicate path %s", pj.Func, path.Key())
+			}
 			pr.Add(path, p.Count)
 		}
 		pp.Funcs[pj.Func] = pr

@@ -12,7 +12,7 @@ import (
 	"pathflow/internal/paperex"
 )
 
-func exampleProgramProfile(t *testing.T) (*cfg.Program, *ProgramProfile) {
+func exampleProgramProfile(t testing.TB) (*cfg.Program, *ProgramProfile) {
 	t.Helper()
 	f, _, edges := paperex.Build()
 	prog := cfg.NewProgram()
@@ -143,6 +143,54 @@ func main() {
 	for name := range pp.Funcs {
 		if !got.Funcs[name].Equal(pp.Funcs[name]) {
 			t.Errorf("round trip changed %s", name)
+		}
+	}
+}
+
+// TestLoadRejectsOutOfRangeEdges: a saved path may name any edge ID;
+// one outside the function's graph must be rejected, not indexed —
+// whether it sits first, inside, or last in the path.
+func TestLoadRejectsOutOfRangeEdges(t *testing.T) {
+	prog, pp := exampleProgramProfile(t)
+	var good Path
+	for _, e := range pp.Funcs["example"].Entries {
+		if len(e.Path.Edges) >= 2 {
+			good = e.Path
+			break
+		}
+	}
+	if good.Len() == 0 {
+		t.Fatal("example profile has no multi-edge path")
+	}
+	n := len(good.Edges)
+	for _, tc := range []struct {
+		name string
+		at   int
+		id   cfg.EdgeID
+	}{
+		{"first", 0, 99999},
+		{"interior", 1, 99999},
+		{"last", n - 1, 99999},
+		{"negative", 1, -1},
+	} {
+		bad := Path{Edges: append([]cfg.EdgeID(nil), good.Edges...)}
+		if tc.at == n-1 {
+			bad.Edges = append(bad.Edges, tc.id)
+		} else {
+			bad.Edges = append(bad.Edges[:tc.at+1], bad.Edges[tc.at:]...)
+			bad.Edges[tc.at] = tc.id
+		}
+		tampered := NewProgramProfile()
+		orig := pp.Funcs["example"]
+		tampered.Funcs["example"] = NewProfile(orig.FuncName, orig.R)
+		tampered.Funcs["example"].Add(bad, 1)
+		var buf bytes.Buffer
+		if err := tampered.Save(&buf, prog); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Load(&buf, prog)
+		if err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("%s: Load(%v) err = %v, want out-of-range rejection", tc.name, bad.Edges, err)
 		}
 	}
 }
