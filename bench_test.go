@@ -346,8 +346,10 @@ func BenchmarkTracingVsTupling(b *testing.B) {
 	b.Run("tupling", func(b *testing.B) { run(b, true) })
 }
 
-// BenchmarkProfilers compares the two Ball-Larus profiler
-// implementations' run-time overhead on the compress training run.
+// BenchmarkProfilers compares the run-time overhead of the two
+// Ball-Larus profilers on the compress training run: the Tracker
+// reference, which carves the edge trace into paths, and ProfileProgram,
+// which counts numbered paths as the instrumentation would.
 func BenchmarkProfilers(b *testing.B) {
 	bm, err := bench.Get("compress")
 	if err != nil {
@@ -366,26 +368,14 @@ func BenchmarkProfilers(b *testing.B) {
 	})
 	b.Run("tracker", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := bl.ProfileProgram(prog, bm.TrainOptions()); err != nil {
+			if _, _, err := bl.TrackProgram(prog, bm.TrainOptions()); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("instrumented", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ips := map[string]*bl.Instrumented{}
-			for name, fn := range prog.Funcs {
-				ip, err := bl.NewInstrumented(fn, bl.RecordingEdges(fn.G))
-				if err != nil {
-					b.Fatal(err)
-				}
-				ips[name] = ip
-			}
-			opts := bm.TrainOptions()
-			opts.OnEnter = func(fn *cfg.Func) { ips[fn.Name].Enter() }
-			opts.OnEdge = func(fn *cfg.Func, e cfg.EdgeID) { ips[fn.Name].Edge(e) }
-			opts.OnExit = func(fn *cfg.Func) { ips[fn.Name].Exit() }
-			if _, err := interp.Run(prog, opts); err != nil {
+			if _, _, err := bl.ProfileProgram(prog, bm.TrainOptions()); err != nil {
 				b.Fatal(err)
 			}
 		}

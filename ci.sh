@@ -60,7 +60,11 @@
 #                           set on rejection; FuzzProfileLoad: the
 #                           saved-profile loader never panics on
 #                           arbitrary bytes and an accepted profile
-#                           survives Save → Load unchanged),
+#                           survives Save → Load unchanged;
+#                           FuzzProfileProgram: on random programs, args
+#                           and inputs, ProfileProgram's numbered path
+#                           counts equal the Tracker reference's profile
+#                           and every path satisfies Definition 7),
 #                           seeded from testdata/fuzz corpora
 #   8. kernel gate          BenchmarkAnalyzeKernels/resolve — the packed
 #                           solvers' steady-state Run() loop — must
@@ -173,6 +177,10 @@ go test -run '^$' -fuzz '^FuzzProfileDeltaCodec$' -fuzztime 10s ./internal/profi
 # fabric's profile exchange): the loader must reject, never panic on,
 # arbitrary bytes, and whatever it accepts must round-trip.
 go test -run '^$' -fuzz '^FuzzProfileLoad$' -fuzztime 10s ./internal/bl/
+# Training counts numbered paths; on random programs, args and inputs
+# its profiles must equal the Tracker reference's and satisfy
+# Definition 7.
+go test -run '^$' -fuzz '^FuzzProfileProgram$' -fuzztime 10s ./internal/progen/
 
 echo "== kernel gate"
 # The packed kernels' steady-state loop must be allocation-free: every

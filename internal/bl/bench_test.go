@@ -3,6 +3,7 @@ package bl_test
 import (
 	"testing"
 
+	"pathflow/internal/bench"
 	. "pathflow/internal/bl"
 	"pathflow/internal/cfg"
 	"pathflow/internal/interp"
@@ -59,6 +60,7 @@ func BenchmarkRegenerate(b *testing.B) {
 	}
 }
 
+// BenchmarkTrackerProfiling times the Tracker reference on benchSrc.
 func BenchmarkTrackerProfiling(b *testing.B) {
 	prog, err := lang.Compile(benchSrc)
 	if err != nil {
@@ -67,35 +69,27 @@ func BenchmarkTrackerProfiling(b *testing.B) {
 	opts := interp.Options{Args: []int64{500}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ProfileProgram(prog, opts); err != nil {
+		if _, _, err := TrackProgram(prog, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkInstrumentedProfiling(b *testing.B) {
-	prog, err := lang.Compile(benchSrc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ips := map[string]*Instrumented{}
-		for name, fn := range prog.Funcs {
-			ip, err := NewInstrumented(fn, RecordingEdges(fn.G))
-			if err != nil {
-				b.Fatal(err)
-			}
-			ips[name] = ip
-		}
-		_, err := interp.Run(prog, interp.Options{
-			Args:    []int64{500},
-			OnEnter: func(fn *cfg.Func) { ips[fn.Name].Enter() },
-			OnEdge:  func(fn *cfg.Func, e cfg.EdgeID) { ips[fn.Name].Edge(e) },
-			OnExit:  func(fn *cfg.Func) { ips[fn.Name].Exit() },
-		})
+// BenchmarkProfileProgram is one training run per suite program: the
+// interpreter with path counting attached, as every analysis pays it.
+func BenchmarkProfileProgram(b *testing.B) {
+	for _, bm := range bench.All() {
+		prog, err := bm.Program()
 		if err != nil {
 			b.Fatal(err)
 		}
+		b.Run(bm.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := ProfileProgram(prog, bm.TrainOptions()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

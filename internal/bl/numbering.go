@@ -40,9 +40,6 @@ var ErrTooManyPaths = fmt.Errorf("bl: path count overflows int64")
 // R must contain at least the minimal set (see RecordingEdges) so that
 // the non-recording subgraph is acyclic.
 func NewNumbering(g *cfg.Graph, R map[cfg.EdgeID]bool) (*Numbering, error) {
-	if !AcyclicCheck(g, R) {
-		return nil, fmt.Errorf("bl: recording edges do not acyclicize %s", g.Name)
-	}
 	dfs := g.DepthFirst()
 	n := &Numbering{
 		G:        g,
@@ -53,7 +50,8 @@ func NewNumbering(g *cfg.Graph, R map[cfg.EdgeID]bool) (*Numbering, error) {
 	for i := range n.Val {
 		n.Val[i] = -1
 	}
-	// Process in reverse topological order of the non-recording subgraph.
+	// Process in reverse topological order of the non-recording subgraph;
+	// topoOrder fails if R does not make that subgraph acyclic.
 	order, err := topoOrder(g, R, dfs)
 	if err != nil {
 		return nil, err
@@ -110,7 +108,7 @@ func topoOrder(g *cfg.Graph, R map[cfg.EdgeID]bool, dfs *cfg.DFS) ([]cfg.NodeID,
 		}
 	}
 	if len(order) != dfs.NumReachable() {
-		return nil, fmt.Errorf("bl: non-recording subgraph of %s is cyclic", g.Name)
+		return nil, fmt.Errorf("bl: recording edges do not acyclicize %s", g.Name)
 	}
 	return order, nil
 }

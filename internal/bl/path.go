@@ -8,15 +8,20 @@
 // (edges from entry, edges into exit, retreating edges) makes the graph
 // acyclic when removed, so the set of Ball-Larus paths is finite.
 //
-// The package provides two independent profilers that are cross-checked in
-// tests: a direct tracker that carves the interpreter's edge trace at
-// recording edges, and the efficient instrumentation scheme of the MICRO
-// '96 paper (per-edge increments on an acyclicized graph, with path
-// regeneration from compact integer path ids).
+// Training runs (ProfileProgram) use the efficient instrumentation scheme
+// of the MICRO '96 paper: per-edge increments on the acyclicized graph
+// sum to a compact integer path id, each run bumps one counter per
+// (start vertex, path id), and each distinct path is regenerated from
+// its id once, after the run. A direct Tracker, which carves the
+// interpreter's edge trace at recording edges, is the independent
+// reference the numbered profiles are tested against (TrackProgram), and
+// profiles the rare function whose path count overflows the numbering.
+// Both produce the same Profile, keys and all.
 package bl
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"pathflow/internal/cfg"
@@ -31,14 +36,14 @@ type Path struct {
 
 // Key returns a canonical map key for the path.
 func (p Path) Key() string {
-	var b strings.Builder
+	b := make([]byte, 0, 4*len(p.Edges))
 	for i, e := range p.Edges {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%d", e)
+		b = strconv.AppendInt(b, int64(e), 10)
 	}
-	return b.String()
+	return string(b)
 }
 
 // Len returns the number of edges (excluding the • placeholder).
@@ -81,12 +86,14 @@ func (p Path) Vertices(g *cfg.Graph) []cfg.NodeID {
 // profile therefore reproduces the run's dynamic instruction count (the
 // quantity the paper's coverage parameter CA is measured against).
 func (p Path) NumInstrs(g *cfg.Graph) int {
-	vs := p.Vertices(g)
-	if len(vs) == 0 {
-		return 0
-	}
 	n := 0
-	for _, v := range vs[:len(vs)-1] {
+	for i, e := range p.Edges {
+		// The vertex before edge i: v0 for the first edge, else the
+		// target of the edge before it.
+		v := g.Edge(e).From
+		if i > 0 {
+			v = g.Edge(p.Edges[i-1]).To
+		}
 		n += len(g.Node(v).Instrs)
 	}
 	return n

@@ -66,18 +66,32 @@ func (pr *Profile) DynInstrs(g *cfg.Graph) int64 {
 // instructions (count × length), breaking ties by path key — the order in
 // which the paper's hot-path selection considers paths.
 func (pr *Profile) SortedEntries(g *cfg.Graph) []*Entry {
-	es := make([]*Entry, 0, len(pr.Entries))
-	for _, e := range pr.Entries {
-		es = append(es, e)
+	return pr.sortedBy(func(e *Entry) int64 { return e.Count * int64(e.Path.NumInstrs(g)) })
+}
+
+// sortedBy returns the entries ordered by descending rank, breaking ties
+// by path key. Each entry's rank and key are computed once, not per
+// comparison.
+func (pr *Profile) sortedBy(rank func(*Entry) int64) []*Entry {
+	type ranked struct {
+		e    *Entry
+		rank int64
+		key  string
 	}
-	sort.Slice(es, func(i, j int) bool {
-		wi := es[i].Count * int64(es[i].Path.NumInstrs(g))
-		wj := es[j].Count * int64(es[j].Path.NumInstrs(g))
-		if wi != wj {
-			return wi > wj
+	rs := make([]ranked, 0, len(pr.Entries))
+	for _, e := range pr.Entries {
+		rs = append(rs, ranked{e, rank(e), e.Path.Key()})
+	}
+	sort.Slice(rs, func(i, j int) bool {
+		if rs[i].rank != rs[j].rank {
+			return rs[i].rank > rs[j].rank
 		}
-		return es[i].Path.Key() < es[j].Path.Key()
+		return rs[i].key < rs[j].key
 	})
+	es := make([]*Entry, len(rs))
+	for i, r := range rs {
+		es[i] = r.e
+	}
 	return es
 }
 
@@ -110,18 +124,8 @@ func (pr *Profile) Equal(other *Profile) bool {
 
 // String renders the profile sorted by count then key, one path per line.
 func (pr *Profile) String(g *cfg.Graph) string {
-	es := make([]*Entry, 0, len(pr.Entries))
-	for _, e := range pr.Entries {
-		es = append(es, e)
-	}
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].Count != es[j].Count {
-			return es[i].Count > es[j].Count
-		}
-		return es[i].Path.Key() < es[j].Path.Key()
-	})
 	var b strings.Builder
-	for _, e := range es {
+	for _, e := range pr.sortedBy(func(e *Entry) int64 { return e.Count }) {
 		fmt.Fprintf(&b, "%8d %s\n", e.Count, e.Path.String(g))
 	}
 	return b.String()

@@ -25,7 +25,8 @@ func RecordingEdges(g *cfg.Graph) map[cfg.EdgeID]bool {
 }
 
 // AcyclicCheck reports whether removing R leaves the reachable part of g
-// acyclic. It is used by tests and by Numbering to validate its input.
+// acyclic. NewNumbering checks the same condition while it orders the
+// graph; tests call this check directly.
 func AcyclicCheck(g *cfg.Graph, R map[cfg.EdgeID]bool) bool {
 	// Kahn's algorithm restricted to reachable nodes and non-R edges.
 	dfs := g.DepthFirst()

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -231,5 +232,192 @@ func TestMainReturnValue(t *testing.T) {
 	}
 	if res.Ret != 42 {
 		t.Errorf("Ret = %d, want 42", res.Ret)
+	}
+}
+
+// TestOpcodesMatchEval holds the interpreter's opcode switch to the IR's
+// reference semantics: every unary and binary opcode, on operands that
+// reach the edge cases (zero divisors, overflow, shift counts past 63),
+// produces what ir.EvalUn and ir.EvalBin produce.
+func TestOpcodesMatchEval(t *testing.T) {
+	var ops []ir.Op
+	for op := ir.Op(0); op < 32; op++ {
+		if op.IsUnary() || op.IsBinary() {
+			ops = append(ops, op)
+		}
+	}
+	// main: v0 = arg 0; v1 = arg 1; then per opcode vk = op v0[, v1];
+	// print vk.
+	g := cfg.New("main")
+	body := g.AddNode("body")
+	nd := g.Node(body)
+	nd.Instrs = []ir.Instr{
+		{Op: ir.Arg, Dst: 0, A: ir.NoVar, B: ir.NoVar, K: 0},
+		{Op: ir.Arg, Dst: 1, A: ir.NoVar, B: ir.NoVar, K: 1},
+	}
+	for i, op := range ops {
+		dst := ir.Var(2 + i)
+		in := ir.Instr{Op: op, Dst: dst, A: 0, B: ir.NoVar}
+		if op.IsBinary() {
+			in.B = 1
+		}
+		nd.Instrs = append(nd.Instrs, in, ir.Instr{Op: ir.Print, Dst: ir.NoVar, A: dst, B: ir.NoVar})
+	}
+	nd.Kind = cfg.TermReturn
+	g.AddEdge(g.Entry, body)
+	g.AddEdge(body, g.Exit)
+	prog := cfg.NewProgram()
+	prog.Add(&cfg.Func{Name: "main", VarNames: make([]string, 2+len(ops)), G: g})
+
+	vals := []ir.Value{0, 1, -1, 2, 7, -7, 63, 64, -64, 1 << 40, math.MaxInt64, math.MinInt64}
+	for _, a := range vals {
+		for _, b := range vals {
+			res, err := Run(prog, Options{Args: []ir.Value{a, b}, CollectOutput: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, op := range ops {
+				var want ir.Value
+				if op.IsUnary() {
+					want = ir.EvalUn(op, a)
+				} else {
+					want = ir.EvalBin(op, a, b)
+				}
+				if res.Output[i] != want {
+					t.Errorf("%v(%d, %d) = %d, want %d", op, a, b, res.Output[i], want)
+				}
+			}
+		}
+	}
+}
+
+// TestDeepRecursionKeepsCallerFrames recurses far past the register
+// stack's initial size, so the stack grows while callers are live; every
+// caller must still read its own locals after its call returns.
+func TestDeepRecursionKeepsCallerFrames(t *testing.T) {
+	res := run(t, `
+func f(n) {
+	if (n == 0) { return 0; }
+	a = n * 3;
+	b = a + 1;
+	c = b - n;
+	d = c ^ 5;
+	r = f(n - 1);
+	return r + a + b + c + d;
+}
+func main() { print(f(900)); }`, Options{})
+	var want ir.Value
+	for n := ir.Value(1); n <= 900; n++ {
+		a := n * 3
+		b := a + 1
+		c := b - n
+		want += a + b + c + (c ^ 5)
+	}
+	if len(res.Output) != 1 || res.Output[0] != want {
+		t.Errorf("output = %v, want [%d]", res.Output, want)
+	}
+	if res.Calls != 902 {
+		t.Errorf("calls = %d, want 902", res.Calls)
+	}
+}
+
+// chargedInstrs is Σ BlockCount × block length, which Result.DynInstrs
+// equals on every run, failed or not.
+func chargedInstrs(p *cfg.Program, res *Result) int64 {
+	var n int64
+	for name, counts := range res.BlockCount {
+		for id, c := range counts {
+			n += c * int64(len(p.Funcs[name].G.Node(cfg.NodeID(id)).Instrs))
+		}
+	}
+	return n
+}
+
+func blocksBegun(res *Result) int64 {
+	var n int64
+	for _, counts := range res.BlockCount {
+		for _, c := range counts {
+			n += c
+		}
+	}
+	return n
+}
+
+// TestStepLimitInNestedCall trips the step limit inside a callee. The
+// caller's block is charged whole when it begins, so DynInstrs already
+// holds the instructions after the call that never ran, and Steps counts
+// the block whose start tripped the limit.
+func TestStepLimitInNestedCall(t *testing.T) {
+	p, err := lang.Compile(`
+func spin() { while (1) { } return 0; }
+func main() { x = 1; y = spin(); z = x + y; w = z * 2; print(w); }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(p, Options{MaxSteps: 100})
+	if !errors.Is(err, ErrStepLimit) {
+		t.Fatalf("err = %v, want ErrStepLimit", err)
+	}
+	if res.Steps != 101 || blocksBegun(res) != 100 {
+		t.Errorf("steps = %d, blocks begun = %d; want 101, 100", res.Steps, blocksBegun(res))
+	}
+	if got, want := res.DynInstrs, chargedInstrs(p, res); got != want {
+		t.Errorf("DynInstrs = %d, want Σ BlockCount × length = %d", got, want)
+	}
+	// main's calling block holds the call and everything after it; all of
+	// it is charged although the call never returned.
+	g := p.Main().G
+	var callBlock *cfg.Node
+	for _, nd := range g.Nodes {
+		for _, in := range nd.Instrs {
+			if in.Op == ir.Call {
+				callBlock = nd
+			}
+		}
+	}
+	if callBlock == nil || callBlock.Instrs[len(callBlock.Instrs)-1].Op == ir.Call {
+		t.Fatal("test program must place instructions after the call in the calling block")
+	}
+	if res.BlockCount["main"][callBlock.ID] != 1 {
+		t.Errorf("calling block begun %d times, want 1", res.BlockCount["main"][callBlock.ID])
+	}
+}
+
+// TestDepthLimitPartialResult checks the partial Result of a run that
+// exceeds the call depth: the activation that would go too deep is
+// neither counted nor begun.
+func TestDepthLimitPartialResult(t *testing.T) {
+	p, err := lang.Compile(`
+func f(n) { m = n + 1; return f(m) + m; }
+func main() { print(f(0)); }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(p, Options{MaxDepth: 50})
+	if !errors.Is(err, ErrDepthLimit) {
+		t.Fatalf("err = %v, want ErrDepthLimit", err)
+	}
+	if res.Calls != 50 {
+		t.Errorf("calls = %d, want 50", res.Calls)
+	}
+	if res.Steps != blocksBegun(res) {
+		t.Errorf("steps = %d, blocks begun = %d", res.Steps, blocksBegun(res))
+	}
+	if got, want := res.DynInstrs, chargedInstrs(p, res); got != want {
+		t.Errorf("DynInstrs = %d, want Σ BlockCount × length = %d", got, want)
+	}
+}
+
+// TestFramesStartZeroed reuses one stack slot for two activations: the
+// second must not see the registers the first left behind.
+func TestFramesStartZeroed(t *testing.T) {
+	res := run(t, `
+func f(a) {
+	if (a) { x = 5; }
+	return x;
+}
+func main() { print(f(1)); print(f(0)); }`, Options{})
+	if want := []ir.Value{5, 0}; !reflect.DeepEqual(res.Output, want) {
+		t.Errorf("output = %v, want %v", res.Output, want)
 	}
 }

@@ -65,47 +65,12 @@ func TestRandomProgramsCompileAndTerminate(t *testing.T) {
 	}
 }
 
-// TestProfilersAgreeOnRandomPrograms cross-checks the direct tracker
-// against the Ball-Larus instrumentation scheme on every function of
-// every random program.
+// TestProfilersAgreeOnRandomPrograms cross-checks ProfileProgram's
+// numbered path counts against the Tracker reference on every function
+// of every random program.
 func TestProfilersAgreeOnRandomPrograms(t *testing.T) {
 	for seed := uint64(1); seed <= numRandomPrograms; seed++ {
-		prog := compileRandom(t, seed)
-		trackers := map[string]*bl.Tracker{}
-		instrs := map[string]*bl.Instrumented{}
-		for name, fn := range prog.Funcs {
-			R := bl.RecordingEdges(fn.G)
-			trackers[name] = bl.NewTracker(fn, R)
-			ip, err := bl.NewInstrumented(fn, R)
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			instrs[name] = ip
-		}
-		_, err := interp.Run(prog, interp.Options{
-			Args:     []ir.Value{3, 7, 11},
-			Input:    inputFor(int64(seed)),
-			MaxSteps: 2_000_000,
-			OnEnter:  func(fn *cfg.Func) { trackers[fn.Name].Enter(); instrs[fn.Name].Enter() },
-			OnEdge:   func(fn *cfg.Func, e cfg.EdgeID) { trackers[fn.Name].Edge(e); instrs[fn.Name].Edge(e) },
-			OnExit:   func(fn *cfg.Func) { trackers[fn.Name].Exit(); instrs[fn.Name].Exit() },
-		})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		for name := range prog.Funcs {
-			want := trackers[name].Profile()
-			got, err := instrs[name].Profile()
-			if err != nil {
-				t.Fatalf("seed %d %s: %v", seed, name, err)
-			}
-			if !got.Equal(want) {
-				t.Errorf("seed %d: profilers disagree on %s", seed, name)
-			}
-			if err := want.Validate(prog.Funcs[name].G); err != nil {
-				t.Errorf("seed %d: %v", seed, err)
-			}
-		}
+		checkProfilersAgree(t, seed, []ir.Value{3, 7, 11}, int64(seed))
 	}
 }
 
