@@ -740,25 +740,19 @@ func BenchmarkAnalyzeKernels(b *testing.B) {
 	})
 }
 
-// BenchmarkAnalyzeSparse compares the solver schedules this PR's
-// tentpole stacked on the packed kernels, steady state: Run() on
-// pre-built solvers over each benchmark's analysis-tier graphs (the HPG
-// of every qualified function). Three configurations per benchmark:
+// BenchmarkAnalyzeSparse compares the dense and sparse packed solvers,
+// steady state: Run() on pre-built solvers over each benchmark's
+// analysis-tier graphs (the HPG of every qualified function). Two
+// configurations per benchmark:
 //
-//	fifo-resolve    packed dense Run() on the FIFO worklist — the
-//	                pre-upgrade baseline the speedup target is
-//	                measured against
 //	dense-resolve   packed dense Run() on the RPO priority worklist
-//	                (the scheduling half of the upgrade alone)
 //	sparse-resolve  sparse def-use Run(); must report 0 allocs/op
 //	                (ci.sh greps for exactly that)
 //
-// The quantity BENCH_sparse.json tracks is the per-benchmark ratio
-// fifo-resolve / sparse-resolve on the HPG-heaviest programs, where
-// hot-path duplication multiplies transparent vertices and the sparse
-// kernel's masked meets and pass-through pops skip the re-merging the
-// dense flood pays for; dense-resolve / sparse-resolve isolates the
-// sparsity win from the scheduling win.
+// dense-resolve / sparse-resolve is the sparsity win on the
+// HPG-heaviest programs, where hot-path duplication multiplies
+// transparent vertices and the sparse kernel's masked meets and
+// pass-through pops skip the re-merging the dense flood pays for.
 func BenchmarkAnalyzeSparse(b *testing.B) {
 	ins := suite(b)
 	resolve := func(gs []bench.AnalyzeGraph, nodes int, build func(bench.AnalyzeGraph) *kernel.Solver) func(*testing.B) {
@@ -787,11 +781,6 @@ func BenchmarkAnalyzeSparse(b *testing.B) {
 		for _, g := range gs {
 			nodes += g.G.NumNodes()
 		}
-		b.Run(in.B.Name+"/fifo-resolve", resolve(gs, nodes, func(g bench.AnalyzeGraph) *kernel.Solver {
-			s := constprop.PackedSolver(g.G, g.NumVars, true)
-			s.SetFIFO()
-			return s
-		}))
 		b.Run(in.B.Name+"/dense-resolve", resolve(gs, nodes, func(g bench.AnalyzeGraph) *kernel.Solver {
 			return constprop.PackedSolver(g.G, g.NumVars, true)
 		}))

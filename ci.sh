@@ -34,9 +34,11 @@
 #                           pooled workers (liveness, availexpr,
 #                           dataflow/oracle) — and the solver layers
 #                           themselves (dataflow, dataflow/kernel,
-#                           constprop, intervals), whose packed-vs-boxed
-#                           differential tests then hold under -race
-#                           — and the feasibility detector + drift
+#                           constprop, whose packed-vs-boxed
+#                           differential tests then hold under -race;
+#                           intervals, the boxed widening client and
+#                           its clamped form, which have no packed
+#                           backend) — and the feasibility detector + drift
 #                           linter (feasible, lint), which the engine
 #                           also runs from pooled workers
 #   7. fuzz smoke           10s of coverage-guided fuzzing per target
@@ -69,9 +71,11 @@
 #   8. kernel gate          BenchmarkAnalyzeKernels/resolve — the packed
 #                           solvers' steady-state Run() loop — must
 #                           report exactly 0 allocs/op (BENCH_kernels.json);
-#                           likewise BenchmarkAnalyzeSparse/sparse-resolve,
-#                           the sparse def-use kernels' steady-state loop
-#                           (BENCH_sparse.json)
+#                           likewise every BenchmarkAnalyzeSparse
+#                           sparse-resolve line, the sparse def-use
+#                           kernels' steady-state loop (BENCH_sparse.json;
+#                           the benchmark runs two configurations per
+#                           program, dense-resolve and sparse-resolve)
 #   9. check smoke          `pathflow check` over examples/hotpath.pf
 #                           and two benchmarks: the precision
 #                           differential oracle must report zero

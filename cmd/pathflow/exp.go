@@ -485,7 +485,7 @@ func expFig12(ctx context.Context, ins []*bench.Instance) error {
 // expKernels compares the packed arena kernels against the boxed
 // reference solver and the sparse def-use kernel on every benchmark's
 // analysis-tier graphs, with the oracle's differential gate asserting
-// pointwise-identical solutions for all four clients before any timing
+// pointwise-identical solutions for all three clients before any timing
 // is believed. The second block makes the sparse work reduction
 // visible per client: worklist pops and node transfers, dense vs
 // sparse, summed over each benchmark's graph set.
@@ -496,7 +496,7 @@ func expKernels(ctx context.Context, ins []*bench.Instance) error {
 	}
 	fmt.Println("Kernel backends: boxed reference vs packed arena kernels vs sparse def-use")
 	fmt.Println("(constant propagation over each benchmark's analyze-stage graphs;")
-	fmt.Println(" 'checked' vertices passed the 4-client pointwise differential gate;")
+	fmt.Println(" 'checked' vertices passed the 3-client pointwise differential gate;")
 	fmt.Println(" speedup = boxed/packed, sp-up = packed/sparse)")
 	fmt.Printf("%-10s %7s %12s %12s %12s %8s %7s %9s\n",
 		"Program", "nodes", "boxed", "packed", "sparse", "speedup", "sp-up", "checked")

@@ -59,7 +59,6 @@ func (d *packedDomain) Grow(rows int)                 { d.bits.Grow(rows) }
 func (d *packedDomain) Boundary(dst int)              { d.bits.Clear(dst) }
 func (d *packedDomain) Copy(dst, src int)             { d.bits.Copy(dst, src) }
 func (d *packedDomain) Meet(dst, src int) bool        { return d.bits.And(dst, src) }
-func (d *packedDomain) Equal(a, b int) bool           { return d.bits.Equal(a, b) }
 
 // Transfer pushes availability through the block (gen the expression,
 // then kill everything reading the destination) into scratch row 0 and

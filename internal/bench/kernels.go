@@ -11,7 +11,6 @@ import (
 	"pathflow/internal/dataflow"
 	"pathflow/internal/dataflow/oracle"
 	"pathflow/internal/engine"
-	"pathflow/internal/intervals"
 	"pathflow/internal/liveness"
 )
 
@@ -29,7 +28,7 @@ type KernelRow struct {
 	// sparse kernel's win over the dense arena kernels).
 	Speedup, SparseSpeedup float64
 	// Checked counts the vertices the differential gate compared across
-	// all four clients and both non-reference backends; Violations
+	// all three clients and both non-reference backends; Violations
 	// counts pointwise disagreements (any non-zero value is a kernel
 	// bug).
 	Checked, Violations int
@@ -85,7 +84,7 @@ const kernelReps = 50
 
 // Kernels times boxed vs packed constant propagation over each
 // benchmark's analysis graphs and runs the oracle's differential gate —
-// all four clients, packed vs boxed, pointwise — as a correctness
+// all three clients, packed and sparse vs boxed — as a correctness
 // check riding along with the measurement.
 func Kernels(ctx context.Context, instances []*Instance) ([]KernelRow, error) {
 	var rows []KernelRow
@@ -101,8 +100,7 @@ func Kernels(ctx context.Context, instances []*Instance) ([]KernelRow, error) {
 
 		row := KernelRow{Name: in.B.Name, Nodes: nodes}
 		row.Work = []KernelWork{
-			{Client: "constprop"}, {Client: "intervals"},
-			{Client: "liveness"}, {Client: "availexpr"},
+			{Client: "constprop"}, {Client: "liveness"}, {Client: "availexpr"},
 		}
 		for _, kg := range graphs {
 			checked, bad, err := kernelDifferential(in.B.Name, kg, row.Work)
@@ -148,11 +146,10 @@ func Kernels(ctx context.Context, instances []*Instance) ([]KernelRow, error) {
 // kernelDifferential solves every client on all three backends over one
 // graph, counts the vertices compared and the disagreements found, and
 // accumulates per-client dense-vs-sparse solver effort into work (which
-// must hold the four clients in the fixed order constprop, intervals,
-// liveness, availexpr). The packed solutions are gated with the full
-// Differential (iterations included — dense mirrors boxed exactly); the
-// sparse ones with DifferentialFacts, except intervals, whose sparse
-// schedule replays the dense trajectory and so keeps the full gate.
+// must hold the three clients in the fixed order constprop, liveness,
+// availexpr). The packed solutions are gated with the full Differential
+// (iterations included — dense mirrors boxed exactly); the sparse ones
+// with DifferentialFacts.
 func kernelDifferential(name string, kg AnalyzeGraph, work []KernelWork) (checked, violations int, err error) {
 	type diff struct {
 		client string
@@ -160,14 +157,10 @@ func kernelDifferential(name string, kg AnalyzeGraph, work []KernelWork) (checke
 		boxed  *dataflow.Solution
 		packed *dataflow.Solution
 		sparse *dataflow.Solution
-		facts  bool // gate sparse with DifferentialFacts instead of Differential
 	}
 	cpB := constprop.Analyze(kg.G, kg.NumVars, true)
 	cpP := constprop.AnalyzePacked(kg.G, kg.NumVars, true)
 	cpS := constprop.AnalyzeSparse(kg.G, kg.NumVars, true)
-	ivB := intervals.AnalyzeWith(kg.G, kg.NumVars, true, dataflow.KernelBoxed)
-	ivP := intervals.AnalyzePacked(kg.G, kg.NumVars, true)
-	ivS := intervals.AnalyzeWith(kg.G, kg.NumVars, true, dataflow.KernelSparse)
 	// The optional clients share one guide (the boxed constprop
 	// solution) so all backends solve the identical problem.
 	guide := cpB.Sol
@@ -179,10 +172,9 @@ func kernelDifferential(name string, kg AnalyzeGraph, work []KernelWork) (checke
 	aeP := availexpr.AnalyzePacked(kg.G, u, guide)
 	aeS := availexpr.AnalyzeSparse(kg.G, u, guide)
 	for i, d := range []diff{
-		{"constprop", &constprop.Problem{NumVars: kg.NumVars, Conditional: true}, cpB.Sol, cpP.Sol, cpS.Sol, true},
-		{"intervals", &intervals.Problem{NumVars: kg.NumVars, Conditional: true}, ivB.Sol, ivP.Sol, ivS.Sol, false},
-		{"liveness", &liveness.Problem{NumVars: kg.NumVars, Guide: guide}, lvB.Sol, lvP.Sol, lvS.Sol, true},
-		{"availexpr", &availexpr.Problem{U: u, Guide: guide}, aeB.Sol, aeP.Sol, aeS.Sol, true},
+		{"constprop", &constprop.Problem{NumVars: kg.NumVars, Conditional: true}, cpB.Sol, cpP.Sol, cpS.Sol},
+		{"liveness", &liveness.Problem{NumVars: kg.NumVars, Guide: guide}, lvB.Sol, lvP.Sol, lvS.Sol},
+		{"availexpr", &availexpr.Problem{U: u, Guide: guide}, aeB.Sol, aeP.Sol, aeS.Sol},
 	} {
 		rep := oracle.Differential(d.client, "analyze", d.lat, d.boxed, d.packed)
 		checked += rep.Checked
@@ -191,9 +183,6 @@ func kernelDifferential(name string, kg AnalyzeGraph, work []KernelWork) (checke
 			return checked, violations, fmt.Errorf("bench %s: kernel differential: %w", name, rep.Err())
 		}
 		srep := oracle.DifferentialFacts(d.client, "analyze", d.lat, d.boxed, d.sparse)
-		if !d.facts {
-			srep = oracle.Differential(d.client, "analyze", d.lat, d.boxed, d.sparse)
-		}
 		checked += srep.Checked
 		violations += len(srep.Violations)
 		if !srep.OK() {

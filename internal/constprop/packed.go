@@ -110,8 +110,6 @@ func (d *packedDomain) defRow(r cfg.NodeID) []uint64 {
 	return d.defBits[int(r)*cw : (int(r)+1)*cw : (int(r)+1)*cw]
 }
 
-func (d *packedDomain) Equal(a, b int) bool { return d.cells.Equal(a, b) }
-
 // Meet folds src into dst pointwise (Value.Meet over normalized cells).
 func (d *packedDomain) Meet(dst, src int) bool {
 	dk, dv := d.cells.Row(dst)
@@ -400,8 +398,7 @@ func (d *packedDomain) env(r int) Env {
 // allocs-per-op gate in ci.sh benchmarks exactly this entry point;
 // AnalyzePacked wraps it for one-shot use.
 func PackedSolver(g *cfg.Graph, numVars int, conditional bool) *kernel.Solver {
-	d := &packedDomain{g: g, conditional: conditional, cells: kernel.NewKV(numVars)}
-	return kernel.NewSolver(g, d)
+	return kernel.NewSolver(g, newPackedDomain(g, numVars, conditional, nil))
 }
 
 // SparseSolver builds a reusable sparse def-use-chain solver for
@@ -409,14 +406,17 @@ func PackedSolver(g *cfg.Graph, numVars int, conditional bool) *kernel.Solver {
 // every Run() re-solves sparsely without allocating. BenchmarkAnalyzeSparse
 // and its allocs gate in ci.sh benchmark exactly this entry point.
 func SparseSolver(g *cfg.Graph, numVars int, conditional bool) *kernel.Solver {
-	d := newSparseDomain(g, numVars, conditional)
-	return kernel.NewSparseSolver(g, d)
+	return kernel.NewSparseSolver(g, newSparseDomain(g, numVars, conditional, nil))
+}
+
+func newPackedDomain(g *cfg.Graph, numVars int, conditional bool, infeasible []bool) *packedDomain {
+	return &packedDomain{g: g, conditional: conditional, infeasible: infeasible, cells: kernel.NewKV(numVars)}
 }
 
 // newSparseDomain builds a packedDomain with the cells-at-⊥ tracking
 // the sparse kernel exploits (dense solvers skip the bookkeeping).
-func newSparseDomain(g *cfg.Graph, numVars int, conditional bool) *packedDomain {
-	d := &packedDomain{g: g, conditional: conditional, cells: kernel.NewKV(numVars)}
+func newSparseDomain(g *cfg.Graph, numVars int, conditional bool, infeasible []bool) *packedDomain {
+	d := newPackedDomain(g, numVars, conditional, infeasible)
 	cw := (numVars + 63) / 64
 	d.nodeRows = g.NumNodes()
 	d.bot = make([]uint64, d.nodeRows*cw)
@@ -435,13 +435,15 @@ func newSparseDomain(g *cfg.Graph, numVars int, conditional bool) *packedDomain 
 	return d
 }
 
+func materialize(s *kernel.Solver, d *packedDomain) *Result {
+	s.Run()
+	return &Result{G: d.g, Sol: s.Materialize(func(row int) dataflow.Fact { return d.env(row) })}
+}
+
 // AnalyzePacked runs constant propagation on the packed SoA kernel. The
 // solution is pointwise equal to Analyze's, iteration counts included.
 func AnalyzePacked(g *cfg.Graph, numVars int, conditional bool) *Result {
-	d := &packedDomain{g: g, conditional: conditional, cells: kernel.NewKV(numVars)}
-	s := kernel.NewSolver(g, d)
-	s.Run()
-	return &Result{G: g, Sol: s.Materialize(func(row int) dataflow.Fact { return d.env(row) })}
+	return AnalyzeMasked(g, numVars, conditional, dataflow.KernelPacked, nil)
 }
 
 // AnalyzeSparse runs constant propagation on the sparse def-use-chain
@@ -449,46 +451,29 @@ func AnalyzePacked(g *cfg.Graph, numVars int, conditional bool) *Result {
 // equal to the other backends'; iteration counts are lower (gate with
 // oracle.DifferentialFacts, not Differential).
 func AnalyzeSparse(g *cfg.Graph, numVars int, conditional bool) *Result {
-	d := newSparseDomain(g, numVars, conditional)
-	s := kernel.NewSparseSolver(g, d)
-	s.Run()
-	return &Result{G: g, Sol: s.Materialize(func(row int) dataflow.Fact { return d.env(row) })}
+	return AnalyzeMasked(g, numVars, conditional, dataflow.KernelSparse, nil)
 }
 
 // AnalyzeWith dispatches Analyze on the requested kernel backend.
 func AnalyzeWith(g *cfg.Graph, numVars int, conditional bool, k dataflow.Kernel) *Result {
-	switch k {
-	case dataflow.KernelBoxed:
-		return Analyze(g, numVars, conditional)
-	case dataflow.KernelSparse:
-		return AnalyzeSparse(g, numVars, conditional)
-	}
-	return AnalyzePacked(g, numVars, conditional)
+	return AnalyzeMasked(g, numVars, conditional, k, nil)
 }
 
 // AnalyzeMasked dispatches constant propagation on the requested kernel
 // backend with an infeasible-edge mask: Transfer withholds facts along
 // masked edges, so their targets see fewer meets (or become unreached).
-// A nil mask is exactly AnalyzeWith. All backends produce pointwise
-// identical masked facts: the dense solvers skip withheld slots, and
-// the sparse solver's pass-through only forwards along edges Transfer
-// has already marked executable — which a masked edge never is.
+// A nil mask masks nothing. All backends produce pointwise identical
+// masked facts: the dense solvers skip withheld slots, and the sparse
+// solver's pass-through only forwards along edges Transfer has already
+// marked executable — which a masked edge never is.
 func AnalyzeMasked(g *cfg.Graph, numVars int, conditional bool, k dataflow.Kernel, infeasible []bool) *Result {
-	if infeasible == nil {
-		return AnalyzeWith(g, numVars, conditional, k)
-	}
 	switch k {
 	case dataflow.KernelBoxed:
 		return AnalyzeBoxedMasked(g, numVars, conditional, infeasible)
 	case dataflow.KernelSparse:
-		d := newSparseDomain(g, numVars, conditional)
-		d.infeasible = infeasible
-		s := kernel.NewSparseSolver(g, d)
-		s.Run()
-		return &Result{G: g, Sol: s.Materialize(func(row int) dataflow.Fact { return d.env(row) })}
+		d := newSparseDomain(g, numVars, conditional, infeasible)
+		return materialize(kernel.NewSparseSolver(g, d), d)
 	}
-	d := &packedDomain{g: g, conditional: conditional, infeasible: infeasible, cells: kernel.NewKV(numVars)}
-	s := kernel.NewSolver(g, d)
-	s.Run()
-	return &Result{G: g, Sol: s.Materialize(func(row int) dataflow.Fact { return d.env(row) })}
+	d := newPackedDomain(g, numVars, conditional, infeasible)
+	return materialize(kernel.NewSolver(g, d), d)
 }

@@ -9,21 +9,22 @@
 // words for set lattices, parallel struct-of-arrays slices for value
 // lattices), identified by a dense small integer. The solver then runs
 // the exact same chaotic worklist discipline as dataflow.Solve — same
-// worklist order (RPO priority for non-widening problems, FIFO for
-// widening ones), same widening/narrowing schedule, same iteration
-// counts — but every lattice operation is an in-place loop over
-// primitive slices.
+// RPO priority worklist, same iteration counts — but every lattice
+// operation is an in-place loop over primitive slices.
 // Solutions are bit-for-bit equal to the boxed reference's (the
 // differential oracle and FuzzKernelEquivalence enforce this), which is
 // what lets golden metrics stay byte-identical while the representation
 // underneath changes completely.
 //
-// Row layout for a graph of N nodes and E edges:
+// Domains must have finite height: the solver only meets, so a lattice
+// with infinite descending chains (widened intervals) would not
+// terminate. Such lattices stay on the boxed dataflow.Solve, which
+// widens and narrows.
+//
+// Row layout for a graph of N nodes:
 //
 //	rows [0, N)          per-node facts (row n holds node n's fact)
 //	rows N, N+1, N+2     Transfer scratch (slot outputs)
-//	row  N+3             solver spare (widening save / narrowing meet)
-//	rows [N+4, N+4+E)    narrowing out-fact cache (widening domains only)
 //
 // A Solver is built once per graph and can Run repeatedly with zero
 // allocations — the property the BenchmarkAnalyzeKernels allocs gate in
@@ -65,21 +66,6 @@ type Domain interface {
 	// whether dst changed, under the same equality the boxed path's
 	// Equal would use.
 	Meet(dst, src int) bool
-	// Equal reports whether two rows hold equal facts.
-	Equal(a, b int) bool
-}
-
-// WidenDomain is implemented by packed domains over lattices of
-// unbounded height (intervals). The solver widens at loop heads after
-// the tuned threshold and runs the tuned narrowing passes, mirroring
-// the boxed Widener path.
-type WidenDomain interface {
-	Domain
-	// WidenInto extrapolates: row merged = ∇(row old, row merged).
-	WidenInto(old, merged int)
-	// Tune returns the widening threshold and narrowing pass count
-	// (dataflow.TuningOf of the underlying problem).
-	Tune() (widenThreshold, narrowingPasses int)
 }
 
 // Solver runs the worklist algorithm for one (graph, domain) pair. All
@@ -89,7 +75,6 @@ type WidenDomain interface {
 type Solver struct {
 	g   *cfg.Graph
 	d   Domain
-	wd  WidenDomain // non-nil iff d widens
 	dir dataflow.Direction
 
 	// Reached[n] reports whether the analysis found n executable;
@@ -100,11 +85,8 @@ type Solver struct {
 	EdgeExecutable []bool
 	Iterations     int
 
-	ring         *dataflow.PriorityRing // non-widening problems
-	inQueue      []bool                 // widening problems: FIFO membership …
-	queue        []int32                // … and ring buffer, NumNodes+1 slots
-	qhead, qtail int
-	slots        []int8 // Transfer slot scratch, sized to max degree
+	ring  *dataflow.PriorityRing // RPO worklist (reverse RPO backward)
+	slots []int8                 // Transfer slot scratch, sized to max degree
 
 	// Pops counts worklist pops. For the dense solver Pops equals
 	// Iterations (every pop runs one transfer); the sparse solver keeps
@@ -115,29 +97,20 @@ type Solver struct {
 	sp *sparse // non-nil for solvers built by NewSparseSolver
 
 	scratch int // first Transfer scratch row
-	spare   int // widening save / narrowing accumulator row
-
-	threshold, passes int
-	changes           []int32
-	widenAt           []bool
-	rpo               []cfg.NodeID
-	outBase           int    // first narrowing-cache row
-	outValid          []bool // per node: cache rows current
-	outLive           []bool // per edge: cached fact delivered (non-nil)
 }
 
 // NewSolver sizes d's arena for g and preallocates all solver state.
 func NewSolver(g *cfg.Graph, d Domain) *Solver {
-	n, ne := g.NumNodes(), g.NumEdges()
+	n := g.NumNodes()
 	s := &Solver{
 		g:              g,
 		d:              d,
 		dir:            d.Direction(),
 		Reached:        make([]bool, n),
-		EdgeExecutable: make([]bool, ne),
+		EdgeExecutable: make([]bool, g.NumEdges()),
 		scratch:        n,
-		spare:          n + 3,
 	}
+	s.ring = dataflow.NewPriorityRing(n, g.DepthFirst().RPOOrder, s.dir == dataflow.Backward)
 	maxDeg := 0
 	for i := 0; i < n; i++ {
 		nd := g.Node(cfg.NodeID(i))
@@ -150,31 +123,7 @@ func NewSolver(g *cfg.Graph, d Domain) *Solver {
 		}
 	}
 	s.slots = make([]int8, maxDeg)
-	rows := n + 4
-	dfs := g.DepthFirst()
-	if wd, ok := d.(WidenDomain); ok {
-		s.wd = wd
-		s.threshold, s.passes = wd.Tune()
-		s.changes = make([]int32, n)
-		s.widenAt = make([]bool, n)
-		for e := range dfs.Retreating {
-			if s.dir == dataflow.Backward {
-				s.widenAt[g.Edge(e).From] = true
-			} else {
-				s.widenAt[g.Edge(e).To] = true
-			}
-		}
-		s.rpo = dfs.RPOOrder
-		s.outBase = rows
-		rows += ne
-		s.outValid = make([]bool, n)
-		s.outLive = make([]bool, ne)
-		s.inQueue = make([]bool, n)
-		s.queue = make([]int32, n+1)
-	} else {
-		s.ring = dataflow.NewPriorityRing(n, dfs.RPOOrder, s.dir == dataflow.Backward)
-	}
-	d.Grow(rows)
+	d.Grow(n + 3)
 	return s
 }
 
@@ -229,186 +178,32 @@ func (s *Solver) Run() {
 				s.push(to)
 				continue
 			}
-			if s.wd != nil && s.widenAt[to] {
-				// Mirror the boxed widening path: save the old fact,
-				// meet, and on the threshold-crossing change replace the
-				// merged fact with ∇(old, merged).
-				d.Copy(s.spare, int(to))
-				if d.Meet(int(to), src) {
-					s.changes[to]++
-					if int(s.changes[to]) > s.threshold {
-						s.wd.WidenInto(s.spare, int(to))
-					}
-					s.push(to)
-				}
-			} else if d.Meet(int(to), src) {
+			if d.Meet(int(to), src) {
 				s.push(to)
 			}
 		}
 	}
-	if s.wd != nil {
-		s.narrow()
-	}
 }
 
 // reset clears all per-Run iteration state without allocating.
-// SetFIFO replaces the RPO priority ring with the plain FIFO worklist
-// the dense kernels used before the scheduling upgrade. The fixpoint of
-// a non-widening problem is order-independent, so results are identical
-// — only the visit order and pop counts change. Kept so the kernel
-// benchmarks can measure the scheduling win (FIFO → RPO priority) and
-// the sparsity win (flood → def-use chains) separately. No-op on
-// widening solvers, which already run FIFO.
-func (s *Solver) SetFIFO() {
-	if s.ring == nil {
-		return
-	}
-	s.ring = nil
-	s.inQueue = make([]bool, s.g.NumNodes())
-	s.queue = make([]int32, s.g.NumNodes()+1)
-}
-
 func (s *Solver) reset() {
 	for i := range s.Reached {
 		s.Reached[i] = false
 	}
-	for i := range s.inQueue {
-		s.inQueue[i] = false
-	}
 	for i := range s.EdgeExecutable {
 		s.EdgeExecutable[i] = false
 	}
-	for i := range s.changes {
-		s.changes[i] = 0
-	}
 	s.Iterations = 0
 	s.Pops = 0
-	s.qhead, s.qtail = 0, 0
-	if s.ring != nil {
-		s.ring.Reset()
-	}
+	s.ring.Reset()
 	if s.sp != nil {
 		s.sp.reset()
 	}
 }
 
-func (s *Solver) push(n cfg.NodeID) {
-	if s.ring != nil {
-		s.ring.Push(n)
-		return
-	}
-	if !s.inQueue[n] {
-		s.inQueue[n] = true
-		s.queue[s.qtail] = int32(n)
-		s.qtail++
-		if s.qtail == len(s.queue) {
-			s.qtail = 0
-		}
-	}
-}
-
-func (s *Solver) pop() cfg.NodeID {
-	if s.ring != nil {
-		return s.ring.Pop()
-	}
-	n := cfg.NodeID(s.queue[s.qhead])
-	s.qhead++
-	if s.qhead == len(s.queue) {
-		s.qhead = 0
-	}
-	s.inQueue[n] = false
-	return n
-}
-
-func (s *Solver) empty() bool {
-	if s.ring != nil {
-		return s.ring.Empty()
-	}
-	return s.qhead == s.qtail
-}
-
-// recomputeOuts refreshes the narrowing cache rows for node n: one
-// Transfer into the shared scratch, then one cache row per edge.
-func (s *Solver) recomputeOuts(n cfg.NodeID) {
-	nd := s.g.Node(n)
-	edges := nd.Out
-	if s.dir == dataflow.Backward {
-		edges = nd.In
-	}
-	sl := s.slots[:len(edges)]
-	for i := range sl {
-		sl[i] = -1
-	}
-	s.d.Transfer(n, int(n), s.scratch, sl)
-	for i, eid := range edges {
-		if sl[i] < 0 {
-			s.outLive[eid] = false
-			continue
-		}
-		s.outLive[eid] = true
-		s.d.Copy(s.outBase+int(eid), s.scratch+int(sl[i]))
-	}
-	s.outValid[n] = true
-}
-
-// narrow mirrors the boxed narrowing passes exactly: reverse postorder
-// (reverse RPO backward), lazy per-node out-fact caching with
-// invalidation on change, and one Iterations tick per visited node.
-func (s *Solver) narrow() {
-	g, d := s.g, s.d
-	stop := g.Entry
-	if s.dir == dataflow.Backward {
-		stop = g.Exit
-	}
-	for pass := 0; pass < s.passes; pass++ {
-		for i := range s.outValid {
-			s.outValid[i] = false
-		}
-		for idx := range s.rpo {
-			n := s.rpo[idx]
-			if s.dir == dataflow.Backward {
-				n = s.rpo[len(s.rpo)-1-idx]
-			}
-			if n == stop || !s.Reached[n] {
-				continue
-			}
-			s.Iterations++
-			accValid := false
-			nd := g.Node(n)
-			arrivals := nd.In
-			if s.dir == dataflow.Backward {
-				arrivals = nd.Out
-			}
-			for _, eid := range arrivals {
-				e := g.Edge(eid)
-				src := e.From
-				if s.dir == dataflow.Backward {
-					src = e.To
-				}
-				if !s.Reached[src] {
-					continue
-				}
-				if !s.outValid[src] {
-					s.recomputeOuts(src)
-				}
-				if !s.outLive[eid] {
-					continue
-				}
-				row := s.outBase + int(eid)
-				if !accValid {
-					d.Copy(s.spare, row)
-					accValid = true
-				} else {
-					d.Meet(s.spare, row)
-				}
-			}
-			if accValid && !d.Equal(s.spare, int(n)) {
-				d.Copy(int(n), s.spare)
-				s.outValid[n] = false
-			}
-		}
-	}
-}
+func (s *Solver) push(n cfg.NodeID) { s.ring.Push(n) }
+func (s *Solver) pop() cfg.NodeID   { return s.ring.Pop() }
+func (s *Solver) empty() bool       { return s.ring.Empty() }
 
 // Materialize assembles a standard boxed Solution from the solved state:
 // fact boxes row n for every reached node (called once per node, after
@@ -430,16 +225,6 @@ func (s *Solver) Materialize(fact func(row int) dataflow.Fact) *dataflow.Solutio
 		}
 	}
 	return sol
-}
-
-// Rows returns the total arena rows NewSolver would request for a
-// domain over g (exported for domain constructors that want to size
-// side arrays, e.g. per-row token buffers).
-func Rows(g *cfg.Graph, widening bool) int {
-	if widening {
-		return g.NumNodes() + 4 + g.NumEdges()
-	}
-	return g.NumNodes() + 4
 }
 
 // String identifies the solver for debugging.

@@ -163,7 +163,6 @@ func (d *reachDomain) Grow(rows int)                 { d.bits.Grow(rows) }
 func (d *reachDomain) Boundary(dst int)              { d.bits.Clear(dst) }
 func (d *reachDomain) Copy(dst, src int)             { d.bits.Copy(dst, src) }
 func (d *reachDomain) Meet(dst, src int) bool        { return d.bits.Or(dst, src) }
-func (d *reachDomain) Equal(a, b int) bool           { return d.bits.Equal(a, b) }
 func (d *reachDomain) Transfer(n cfg.NodeID, in, scratch int, slots []int8) {
 	d.bits.Copy(scratch, in)
 	d.bits.Set(scratch, int(n))
@@ -258,15 +257,5 @@ func TestSolverRunAllocFree(t *testing.T) {
 	s.Run() // warm up
 	if allocs := testing.AllocsPerRun(100, s.Run); allocs != 0 {
 		t.Errorf("Solver.Run allocates %.1f objects/op, want 0", allocs)
-	}
-}
-
-func TestRows(t *testing.T) {
-	g, _ := loopBranchGraph(t)
-	if got, want := kernel.Rows(g, false), g.NumNodes()+4; got != want {
-		t.Errorf("Rows(plain) = %d, want %d", got, want)
-	}
-	if got, want := kernel.Rows(g, true), g.NumNodes()+4+g.NumEdges(); got != want {
-		t.Errorf("Rows(widening) = %d, want %d", got, want)
 	}
 }

@@ -65,7 +65,10 @@ func (a *KV) Equal(x, y int) bool {
 // Width [lo, hi] cells split across two parallel []int64 slices. The
 // empty interval is encoded canonically as lo > hi (every non-empty
 // interval satisfies lo ≤ hi), so raw slice comparison implements
-// lattice equality here too.
+// lattice equality here too. No domain uses it at present: widened
+// intervals solve on the boxed path only, and a packed form of the
+// finite clamped lattice (intervals.ClampedProblem) would keep its
+// bounds here.
 type Span struct {
 	Width  int
 	Lo, Hi []int64

@@ -36,15 +36,12 @@ import (
 //
 // The per-node def/use masks are the chains, built once per
 // (graph, domain) by NewSparseSolver and cached with the arenas; Run
-// stays allocation-free. Non-widening problems iterate in RPO priority
-// like the dense kernels; widening problems (intervals) keep the FIFO
-// schedule with full transfers and masked deliveries only, which
-// reproduces the dense trajectory — and therefore its facts — exactly
-// (widening is order-sensitive, so the schedule is part of the answer).
-// For non-widening problems the fixpoint is order-independent, so facts,
-// reachability, and edge executability match the dense backends
-// pointwise while transfer counts legitimately drop; the facts-only
-// differential (oracle.DifferentialFacts) is the correctness gate.
+// stays allocation-free. The solver iterates in RPO priority like the
+// dense kernels. The fixpoint of a finite-height lattice is
+// order-independent, so facts, reachability, and edge executability
+// match the dense backends pointwise while transfer counts legitimately
+// drop; the facts-only differential (oracle.DifferentialFacts) is the
+// correctness gate.
 type SparseDomain interface {
 	Domain
 	// Cells returns the number of lattice cells per row — the width the
@@ -162,7 +159,6 @@ func (s *Solver) runSparse() {
 	s.Reached[start] = true
 	copy(sp.row(sp.dirty, start), sp.full)
 	s.push(start)
-	widening := s.wd != nil
 
 	for !s.empty() {
 		n := s.pop()
@@ -174,7 +170,7 @@ func (s *Solver) runSparse() {
 			edges = nd.In
 		}
 
-		if !widening && sp.transferred[n] && disjointWords(dn, sp.row(sp.uses, n)) {
+		if sp.transferred[n] && disjointWords(dn, sp.row(sp.uses, n)) {
 			// n reads none of the changed cells: its transfer would mark
 			// the same edges and emit the same def-cell values, so skip
 			// it. Changed cells n redefines die here — the new def kills
@@ -242,24 +238,11 @@ func (s *Solver) runSparse() {
 			if first {
 				m = sp.full // nothing delivered along this edge yet
 			}
-			dto := sp.row(sp.dirty, to)
-			if widening && s.widenAt[to] {
-				d.Copy(s.spare, int(to))
-				if d.MeetMasked(int(to), src, m, dto) {
-					s.changes[to]++
-					if int(s.changes[to]) > s.threshold {
-						s.wd.WidenInto(s.spare, int(to))
-					}
-					s.push(to)
-				}
-			} else if d.MeetMasked(int(to), src, m, dto) {
+			if d.MeetMasked(int(to), src, m, sp.row(sp.dirty, to)) {
 				s.push(to)
 			}
 		}
 		clearWords(dn)
 		sp.transferred[n] = true
-	}
-	if s.wd != nil {
-		s.narrow()
 	}
 }

@@ -5,21 +5,16 @@ import (
 
 	"pathflow/internal/availexpr"
 	"pathflow/internal/constprop"
-	"pathflow/internal/dataflow"
 	"pathflow/internal/dataflow/oracle"
-	"pathflow/internal/intervals"
 	"pathflow/internal/lang"
 	"pathflow/internal/liveness"
 	"pathflow/internal/progen"
 )
 
 // TestSparseMatchesDenseFacts is the sparse solver's equivalence gate
-// over generated programs, all four clients: facts, reachability, and
-// edge executability must match the dense kernel pointwise
-// (DifferentialFacts — transfer counts legitimately differ), and for
-// the widening client (intervals), whose sparse schedule mirrors the
-// dense one exactly, the full Differential including iteration counts
-// must hold.
+// over generated programs, all three packed clients: facts,
+// reachability, and edge executability must match the dense kernel
+// pointwise (DifferentialFacts — transfer counts legitimately differ).
 func TestSparseMatchesDenseFacts(t *testing.T) {
 	for seed := uint64(1); seed <= 25; seed++ {
 		prog, err := lang.Compile(progen.Generate(progen.DefaultConfig(seed)))
@@ -50,13 +45,6 @@ func TestSparseMatchesDenseFacts(t *testing.T) {
 			aeS := availexpr.AnalyzeSparse(fn.G, u, guide)
 			aeLat := &availexpr.Problem{U: u, Guide: guide}
 			if err := oracle.DifferentialFacts("availexpr", name, aeLat, aeD.Sol, aeS.Sol).Err(); err != nil {
-				t.Errorf("seed %d: %v", seed, err)
-			}
-
-			ivD := intervals.AnalyzeWith(fn.G, nv, true, dataflow.KernelPacked)
-			ivS := intervals.AnalyzeWith(fn.G, nv, true, dataflow.KernelSparse)
-			ivLat := &intervals.Problem{NumVars: nv, Conditional: true}
-			if err := oracle.Differential("intervals", name, ivLat, ivD.Sol, ivS.Sol).Err(); err != nil {
 				t.Errorf("seed %d: %v", seed, err)
 			}
 		}

@@ -4,12 +4,10 @@ import (
 	"testing"
 
 	"pathflow/internal/availexpr"
-	"pathflow/internal/cfg"
 	"pathflow/internal/constprop"
 	"pathflow/internal/dataflow"
 	"pathflow/internal/dataflow/oracle"
 	"pathflow/internal/engine"
-	"pathflow/internal/intervals"
 	"pathflow/internal/lang"
 	"pathflow/internal/liveness"
 	"pathflow/internal/progen"
@@ -19,7 +17,7 @@ import (
 // arbitrary generated programs, the full pipeline run on the packed
 // arena kernels must be pointwise identical to the boxed reference run
 // — every graph tier (CFG, HPG, reduced HPG), every client (constant
-// propagation, intervals, liveness, available expressions), facts,
+// propagation, liveness, available expressions), facts,
 // reachability, edge executability, and iteration counts. The sparse
 // def-use kernel joins the cross-product on facts-only terms
 // (DifferentialFacts): its schedule legitimately runs fewer transfers,
@@ -106,15 +104,10 @@ func FuzzKernelEquivalence(f *testing.F) {
 			cpLat := &constprop.Problem{NumVars: nv, Conditional: true}
 			lvLat := &liveness.Problem{NumVars: nv}
 			aeLat := &availexpr.Problem{U: bfr.AvailU}
-			ivLat := &intervals.Problem{NumVars: nv, Conditional: true}
 
-			type tier struct {
-				name string
-				g    *cfg.Graph
-			}
-			tiers := []tier{{"cfg", bfr.Fn.G}}
+			tiers := []string{"cfg"}
 			if bfr.Qualified() {
-				tiers = append(tiers, tier{"hpg", bfr.HPG.G}, tier{"rhpg", bfr.Red.G})
+				tiers = append(tiers, "hpg", "rhpg")
 			}
 
 			cpSols := [][3]*constprop.Result{{bfr.OrigSol, pfr.OrigSol, sfr.OrigSol}, {bfr.HPGSol, pfr.HPGSol, sfr.HPGSol}, {bfr.RedSol, pfr.RedSol, sfr.RedSol}}
@@ -122,27 +115,17 @@ func FuzzKernelEquivalence(f *testing.F) {
 			aeSols := [][3]*availexpr.Result{{bfr.AvailCFG, pfr.AvailCFG, sfr.AvailCFG}, {bfr.AvailHPG, pfr.AvailHPG, sfr.AvailHPG}, {bfr.AvailRed, pfr.AvailRed, sfr.AvailRed}}
 			for i, tr := range tiers {
 				if b, p := cpSols[i][0], cpSols[i][1]; b != nil || p != nil {
-					check(name, "constprop", tr.name, cpLat, solOf(b), solOf(p))
-					checkFacts(name, "constprop", tr.name, cpLat, solOf(b), solOf(cpSols[i][2]))
+					check(name, "constprop", tr, cpLat, solOf(b), solOf(p))
+					checkFacts(name, "constprop", tr, cpLat, solOf(b), solOf(cpSols[i][2]))
 				}
 				if b, p := lvSols[i][0], lvSols[i][1]; b != nil || p != nil {
-					check(name, "liveness", tr.name, lvLat, lvSolOf(b), lvSolOf(p))
-					checkFacts(name, "liveness", tr.name, lvLat, lvSolOf(b), lvSolOf(lvSols[i][2]))
+					check(name, "liveness", tr, lvLat, lvSolOf(b), lvSolOf(p))
+					checkFacts(name, "liveness", tr, lvLat, lvSolOf(b), lvSolOf(lvSols[i][2]))
 				}
 				if b, p := aeSols[i][0], aeSols[i][1]; b != nil || p != nil {
-					check(name, "availexpr", tr.name, aeLat, aeSolOf(b), aeSolOf(p))
-					checkFacts(name, "availexpr", tr.name, aeLat, aeSolOf(b), aeSolOf(aeSols[i][2]))
+					check(name, "availexpr", tr, aeLat, aeSolOf(b), aeSolOf(p))
+					checkFacts(name, "availexpr", tr, aeLat, aeSolOf(b), aeSolOf(aeSols[i][2]))
 				}
-				// Intervals is not an engine client; solve all backends
-				// directly on each tier graph to cover the widening path.
-				// The sparse widening schedule mirrors the dense one
-				// exactly, so the full Differential (iterations included)
-				// holds for it too.
-				ivB := intervals.AnalyzeWith(tr.g, nv, true, dataflow.KernelBoxed)
-				ivP := intervals.AnalyzeWith(tr.g, nv, true, dataflow.KernelPacked)
-				ivS := intervals.AnalyzeWith(tr.g, nv, true, dataflow.KernelSparse)
-				check(name, "intervals", tr.name, ivLat, ivB.Sol, ivP.Sol)
-				check(name, "intervals", tr.name, ivLat, ivB.Sol, ivS.Sol)
 			}
 		}
 	})

@@ -90,10 +90,6 @@ type Problem struct {
 	NumVars int
 	// Conditional enables branch pruning and comparison refinement.
 	Conditional bool
-	// Tuning optionally overrides the widening threshold and narrowing
-	// pass count (promoted dataflow.Tuner methods; nil keeps the
-	// package defaults). Both solver backends honor the same override.
-	*dataflow.Tuning
 	// Infeasible, when non-nil, marks edges (indexed by cfg.EdgeID) a
 	// prior feasibility analysis proved no execution can take; Transfer
 	// withholds refined environments along them.
@@ -103,7 +99,6 @@ type Problem struct {
 var (
 	_ dataflow.Problem = (*Problem)(nil)
 	_ dataflow.Widener = (*Problem)(nil)
-	_ dataflow.Tuner   = (*Problem)(nil)
 )
 
 // Entry returns the all-⊥ (full-range) environment.
@@ -341,28 +336,12 @@ type Result struct {
 	n   int
 }
 
-// Analyze runs range analysis over g on the boxed reference solver.
+// Analyze runs range analysis over g on the boxed solver, which widens
+// at loop heads and narrows afterwards (the packed kernels solve only
+// finite-height lattices).
 func Analyze(g *cfg.Graph, numVars int, conditional bool) *Result {
 	p := &Problem{NumVars: numVars, Conditional: conditional}
 	return &Result{G: g, Sol: dataflow.Solve(g, p), n: numVars}
-}
-
-// AnalyzeTuned runs range analysis with explicit widening/narrowing
-// overrides on the requested kernel backend.
-func AnalyzeTuned(g *cfg.Graph, numVars int, conditional bool, tune *dataflow.Tuning, k dataflow.Kernel) *Result {
-	p := &Problem{NumVars: numVars, Conditional: conditional, Tuning: tune}
-	switch k {
-	case dataflow.KernelBoxed:
-		return &Result{G: g, Sol: dataflow.Solve(g, p), n: numVars}
-	case dataflow.KernelSparse:
-		return analyzeSparse(g, p)
-	}
-	return analyzePacked(g, p)
-}
-
-// AnalyzeWith dispatches Analyze on the requested kernel backend.
-func AnalyzeWith(g *cfg.Graph, numVars int, conditional bool, k dataflow.Kernel) *Result {
-	return AnalyzeTuned(g, numVars, conditional, nil, k)
 }
 
 // EnvAt returns the environment at n's entry (all-⊤ when unreached).

@@ -24,7 +24,6 @@ func (d *packedDomain) Grow(rows int)                 { d.bits.Grow(rows) }
 func (d *packedDomain) Boundary(dst int)              { d.bits.Clear(dst) }
 func (d *packedDomain) Copy(dst, src int)             { d.bits.Copy(dst, src) }
 func (d *packedDomain) Meet(dst, src int) bool        { return d.bits.Or(dst, src) }
-func (d *packedDomain) Equal(a, b int) bool           { return d.bits.Equal(a, b) }
 
 // Transfer computes the block's live-in (BlockLiveIn, in place on
 // scratch row 0) and delivers it to the executable in-edges.
